@@ -1,10 +1,10 @@
-"""Per-subdag dependency-graph construction: the four-phase fairness task.
+"""Per-subdag dependency-graph construction: phases 1-3 of the fairness task.
 
 Phase 1 classifies support and computes the pairwise weight matrix (the
 dominant cost, a pure function of the snapshot). Phase 2 filters the active
 set through the cumulative chain and adds directed edges. Phase 3 decomposes
 into SCCs, truncates past the anchor, and forwards the extended chain.
-Phase 4 finalizes or parks.
+Phase 4 (finalize or park) is the coordinator's, in pipeline.py.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and the cumulative
@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import ceil
 
 from .params import edge_threshold, solid_threshold
-from .types import CommitRecord, FinalOrder
+from .types import CommitRecord
 
 
 def count_threshold(tau) -> int:
@@ -67,16 +67,6 @@ class DepGraph:
     solids: frozenset[str]
     prior_chain: frozenset[str]
     anchor: int = -1  # 1-based SCC count up to anchor; 0 = no solid anywhere
-
-
-@dataclass
-class Finalized:
-    order: FinalOrder
-
-
-@dataclass
-class Parked:
-    graph: DepGraph
 
 
 class CumulativeState:
@@ -356,14 +346,3 @@ def phase3_anchor(graph: DepGraph) -> tuple[DepGraph, int, list[str], frozenset[
     token = frozenset(graph.prior_chain | kept_set)
     return truncated, anchor, nodes, token
 
-
-# -- Phase 4 ------------------------------------------------------------------
-
-
-def phase4_dispatch(graph: DepGraph) -> Finalized | Parked:
-    """Finalize immediately when nothing is missing, otherwise park."""
-    if not graph.missing:
-        from .finalize import finalize_order
-
-        return Finalized(finalize_order(graph))
-    return Parked(graph)

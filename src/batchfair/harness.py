@@ -22,7 +22,6 @@ from .adversaries import (
 from .baselines import DodModel, FairDagModel
 from .dagsim import Simulator, SimResult
 from .oracle import (
-    certified_pairs,
     check_batch_of,
     check_crashed_prefix_monotone,
     check_loi_monotone,
@@ -105,6 +104,32 @@ def phase_profile(trace: RunTrace) -> dict:
     return _phase_means(rows)
 
 
+def _verdicts(
+    cfg: SimConfig, records: list, trace: RunTrace, emitted: list, replay_emitted: list
+) -> tuple[dict, dict]:
+    """Run every oracle checker on one run: the five verdicts, and the counts
+    the checkers report."""
+    outcome = serial_reference(records, cfg.n, cfg.f, cfg.gamma)
+    batch_of = check_batch_of(trace, emitted, cfg.gamma)
+    single_ok, single_bad = check_single_graph(trace)
+    loi_ok, loi_bad = check_loi_monotone(trace)
+    crash_ok, _ = check_crashed_prefix_monotone(trace)
+    verdicts = {
+        "mode_digest_match": orders_digest(replay_emitted) == orders_digest(emitted),
+        "serial_equivalence": outcome.orders == emitted and not outcome.vote_mismatches,
+        "batch_order_fairness": batch_of.ok,
+        "single_graph": single_ok,
+        "loi_monotone": loi_ok and crash_ok,
+    }
+    found = {
+        "pairs_checked": batch_of.pairs_checked,
+        "violations": len(batch_of.violations),
+        "single_graph_offender": single_bad,
+        "loi_offender": loi_bad,
+    }
+    return verdicts, found
+
+
 def execute_scenario(
     scenario: Scenario,
     serial: bool = False,
@@ -120,27 +145,16 @@ def execute_scenario(
         meta={"scenario": scenario.name, **(variant or {})},
     ).run()
     cfg = scenario.config
-    inloop_digest = orders_digest(res.pipeline.emitted)
     replayer = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
     if serial:
         replay = replayer.replay(res.records)
     else:
         replay = replayer.replay_concurrent(res.records, slots=slots, pool=pool)
-    outcome = serial_reference(res.records, cfg.n, cfg.f, cfg.gamma)
-    batch_of = check_batch_of(res.trace, res.pipeline.emitted, cfg.gamma)
-    single_ok, single_bad = check_single_graph(res.trace)
-    loi_ok, loi_bad = check_loi_monotone(res.trace)
-    crash_ok, _ = check_crashed_prefix_monotone(res.trace)
+    verdicts, found = _verdicts(
+        cfg, res.records, res.trace, res.pipeline.emitted, replay.emitted
+    )
     emitted_txs = {d for o in res.pipeline.emitted for d in o.digests}
     stragglers = [d for d in res.injected if d not in emitted_txs]
-    verdicts = {
-        "mode_digest_match": orders_digest(replay.emitted) == inloop_digest,
-        "serial_equivalence": outcome.orders == res.pipeline.emitted
-        and not outcome.vote_mismatches,
-        "batch_order_fairness": batch_of.ok,
-        "single_graph": single_ok,
-        "loi_monotone": loi_ok and crash_ok,
-    }
     counts = {
         "rounds": cfg.max_rounds,
         "subdags": len(res.records),
@@ -149,10 +163,7 @@ def execute_scenario(
         "txs_emitted": len(emitted_txs),
         "stragglers": len(stragglers),
         "parked_unresolved": len(res.pipeline.parked_left),
-        "pairs_checked": batch_of.pairs_checked,
-        "violations": len(batch_of.violations),
-        "single_graph_offender": single_bad,
-        "loi_offender": loi_bad,
+        **found,
     }
     # throughput / latency in simulated time
     emit_t = [res.emit_time[o.r] for o in res.pipeline.emitted if o.digests]
@@ -187,7 +198,7 @@ def execute_scenario(
         variant=variant or {},
         config=cfg.to_dict(),
         mode="serial" if serial else "concurrent",
-        emitted_digest=inloop_digest,
+        emitted_digest=orders_digest(res.pipeline.emitted),
         verdicts=verdicts,
         counts=counts,
         phase_means_ns=_phase_means(res.pipeline.profiles),
@@ -331,25 +342,9 @@ def report_from_trace(trace: RunTrace) -> dict:
     cfg = SimConfig.from_dict(trace.meta["config"])
     records = trace.commit_records()
     emitted = trace.emitted_orders()
-    outcome = serial_reference(records, cfg.n, cfg.f, cfg.gamma)
-    batch_of = check_batch_of(trace, emitted, cfg.gamma)
-    single_ok, _ = check_single_graph(trace)
-    loi_ok, _ = check_loi_monotone(trace)
-    crash_ok, _ = check_crashed_prefix_monotone(trace)
     replay = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay(records)
-    from .types import orders_digest as _digest
-
-    return {
-        "emitted_digest": _digest(emitted),
-        "verdicts": {
-            "mode_digest_match": _digest(replay.emitted) == _digest(emitted),
-            "serial_equivalence": outcome.orders == emitted
-            and not outcome.vote_mismatches,
-            "batch_order_fairness": batch_of.ok,
-            "single_graph": single_ok,
-            "loi_monotone": loi_ok and crash_ok,
-        },
-    }
+    verdicts, _found = _verdicts(cfg, records, trace, emitted, replay.emitted)
+    return {"emitted_digest": orders_digest(emitted), "verdicts": verdicts}
 
 
 # -- speedup measurement ------------------------------------------------------------

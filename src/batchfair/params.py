@@ -74,11 +74,6 @@ def solid_threshold(n: int, f: int) -> int:
     return n - 2 * f
 
 
-def meets(count: int, threshold) -> bool:
-    """count >= threshold with exact comparison (threshold may be a Fraction)."""
-    return Fraction(count) >= Fraction(threshold)
-
-
 @dataclass
 class SimConfig:
     """Parameters of one deterministic simulation run."""

@@ -1,13 +1,18 @@
-"""Fairness-pipeline coordinator: per-subdag tasks, chain handoff, Emit gate.
+"""Fairness-pipeline coordinator: per-subdag phases, chain handoff, Emit gate.
 
-Two execution modes over the same phase functions:
+Phase 1 (the weight matrix) is a pure function of a subdag's snapshot and is
+the only step that can run apart from the others. Phases 2-3 thread the
+cumulative chain token from each subdag to the next, and Emit drains in
+commit order, so everything after phase 1 runs on the coordinator, one
+subdag at a time, in commit order. Both drivers share that landing step,
+``_land``, and the vote-routing step:
 
-* event/serial mode: each committed subdag's task runs to completion inline
-  (this is also how the simulator drives the pipeline at commit time);
-* concurrent mode: phase-1 weight tasks run on a process pool across
-  in-flight subdags, phase 2/3 tasks chain through the cumulative-token
-  handoff, resolution tasks run on the pool, and the coordinator applies
-  results serially in commit order.
+* event/serial mode (``on_commit``, ``replay``): each committed subdag runs
+  phase 1 inline and lands at once (this is also how the simulator drives
+  the pipeline at commit time);
+* concurrent mode (``replay_concurrent``): phase-1 tasks run on a process
+  pool for a window of in-flight subdags, and the coordinator lands their
+  results in commit order.
 
 Both modes produce bit-identical emitted orders; only wall-clock differs.
 The vote tally scans author prefixes from n-f upward and keeps the minimal
@@ -34,8 +39,8 @@ from .finalize import (
 )
 from .graph import (
     CumulativeState,
-    DepGraph,
     Snapshot,
+    WeightReport,
     apply_result,
     extract_snapshot,
     phase1_weights,
@@ -55,55 +60,11 @@ class PipelineResult:
     diagnostics: list[dict]
 
 
-# -- pool task functions (module level so they pickle) -------------------------
-
-
 def _weights_task(r: int, orders: dict, n: int, f: int, gamma) -> tuple:
+    """Phase 1 and its CPU time; module level so it pickles for the pool."""
     t0 = perf_counter_ns()
     report = phase1_weights(Snapshot(r, orders), n, f, gamma)
     return report, perf_counter_ns() - t0
-
-
-@dataclass
-class _BuildResult:
-    r: int
-    anchor: int
-    k_digests: list[str]
-    token: frozenset[str]
-    n_admitted: int
-    n_missing: int
-    order: FinalOrder | None
-    graph: DepGraph | None  # shipped back only when parked
-    build_ns: int
-    scc_ns: int
-    final_ns: int
-
-
-def _build_task(report, chain: frozenset[str], tau) -> _BuildResult:
-    t0 = perf_counter_ns()
-    graph = phase2_build_graph(report, chain, tau)
-    t1 = perf_counter_ns()
-    trunc, anchor, k_digests, token = phase3_anchor(graph)
-    t2 = perf_counter_ns()
-    order = None
-    parked_graph = None
-    if trunc.missing:
-        parked_graph = trunc
-    else:
-        order = finalize_order(trunc)
-    t3 = perf_counter_ns()
-    return _BuildResult(
-        report.r, anchor, k_digests, token, len(report.admitted),
-        len(trunc.missing), order, parked_graph, t1 - t0, t2 - t1, t3 - t2,
-    )
-
-
-def _resolve_task(graph: DepGraph, votes: dict, tau, n: int, f: int) -> tuple:
-    store = ParkedStore()
-    store.parked[graph.r] = graph
-    store.votes[graph.r] = votes
-    order = apply_fair_update(store, graph.r, tau, n, f)
-    return order, store.diagnostics
 
 
 class FairnessPipeline:
@@ -144,68 +105,74 @@ class FairnessPipeline:
                 }
             )
 
-    def _retry_wanted(self, r: int) -> bool:
-        """True when the vote set for parked r grew since the last tally."""
+    def _try_resolve(self, r: int) -> None:
+        """Tally parked r again when its vote set grew since the last tally."""
         have = len(self.store.votes.get(r, ()))
         if have < self.n - self.f or self._tried.get(r) == have:
-            return False
+            return
         self._tried[r] = have
-        return True
+        if apply_fair_update(self.store, r, self.tau, self.n, self.f) is not None:
+            self._drain_emit()
 
-    def _try_resolve_serial(self, r: int) -> None:
-        if self._retry_wanted(r):
-            if apply_fair_update(self.store, r, self.tau, self.n, self.f) is not None:
-                self._drain_emit()
+    def _route(self, record: CommitRecord) -> None:
+        """Buffer a committed subdag's votes and tally every parked target."""
+        for r in route_votes(self.store, record, self.n, self.f):
+            self._try_resolve(r)
 
-    def _land(self, r: int, extract_ns: int, weights_ns: int, res: _BuildResult,
-              resolve_hook=None) -> None:
-        """Apply one finished build task on the coordinator, in commit order."""
-        self.chain = res.token
+    def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
         t0 = perf_counter_ns()
-        apply_result(self.state, r, res.k_digests)
-        result_ns = perf_counter_ns() - t0
+        snap, _claim = extract_snapshot(self.state, record)
+        return snap, perf_counter_ns() - t0
+
+    def _land(self, r: int, extract_ns: int, report: WeightReport, weights_ns: int) -> None:
+        """Phases 2-4, FairPropose, the tally and Emit for one subdag, in commit order."""
+        t0 = perf_counter_ns()
+        graph = phase2_build_graph(report, self.chain, self.tau)
+        t1 = perf_counter_ns()
+        trunc, anchor, k_digests, self.chain = phase3_anchor(graph)
+        t2 = perf_counter_ns()
+        apply_result(self.state, r, k_digests)
+        order = None if trunc.missing else finalize_order(trunc)
+        t3 = perf_counter_ns()
         self._trace(
             {
                 "ev": "graph_built",
                 "t": self.now,
                 "replica": None,
                 "r": r,
-                "v": res.n_admitted,
-                "m": res.n_missing,
-                "anchor": res.anchor,
-                "k": len(res.k_digests),
-                "k_digests": list(res.k_digests),
+                "v": len(report.admitted),
+                "m": len(trunc.missing),
+                "anchor": anchor,
+                "k": len(k_digests),
+                "k_digests": list(k_digests),
             }
         )
         profile = {
             "r": r,
             "extract_ns": extract_ns,
             "weights_ns": weights_ns,
-            "build_ns": res.build_ns,
-            "scc_ns": res.scc_ns,
-            "result_ns": result_ns + res.final_ns,
+            "build_ns": t1 - t0,
+            "scc_ns": t2 - t1,
+            "result_ns": t3 - t2,
         }
         self.profiles.append(profile)
         self._trace({"ev": "graph_profile", "t": self.now, "replica": None, **profile})
-        if res.order is not None:
-            mark_ready(self.store, res.order)
+        if order is not None:
+            mark_ready(self.store, order)
         else:
-            self.store.parked[r] = res.graph
+            self.store.parked[r] = trunc
             self._trace(
                 {
                     "ev": "graph_parked",
                     "t": self.now,
                     "replica": None,
                     "r": r,
-                    "pairs": [list(p) for p in res.graph.missing],
+                    "pairs": [list(p) for p in trunc.missing],
                 }
             )
             if self.fairpropose_cb is not None:
-                self.fairpropose_cb(r, set(res.graph.missing))
-            if resolve_hook is None:
-                self._try_resolve_serial(r)
-            else:
-                resolve_hook(r)
+                self.fairpropose_cb(r, set(trunc.missing))
+            self._try_resolve(r)
         self._drain_emit()
 
     # -- event/serial mode -------------------------------------------------------
@@ -213,14 +180,10 @@ class FairnessPipeline:
     def on_commit(self, record: CommitRecord, now: int = 0) -> None:
         """Process one committed subdag to completion (serial task execution)."""
         self.now = now
-        for r in route_votes(self.store, record, self.n, self.f):
-            self._try_resolve_serial(r)
-        t0 = perf_counter_ns()
-        snap, _claim = extract_snapshot(self.state, record)
-        t1 = perf_counter_ns()
+        self._route(record)
+        snap, extract_ns = self._extract(record)
         report, weights_ns = _weights_task(snap.r, snap.orders, self.n, self.f, self.gamma)
-        res = _build_task(report, self.chain, self.tau)
-        self._land(record.r, t1 - t0, weights_ns, res)
+        self._land(record.r, extract_ns, report, weights_ns)
 
     def finish(self) -> PipelineResult:
         return PipelineResult(
@@ -244,69 +207,28 @@ class FairnessPipeline:
     ) -> PipelineResult:
         """Concurrent replay: phase 1 parallel across in-flight subdags.
 
-        The chain token serializes phase 2/3 between consecutive subdags; the
-        in-flight window is capped at ``slots``. Results are applied strictly
+        At most ``slots`` phase-1 tasks are in flight. Results land strictly
         in commit order, so emitted output is scheduling-independent.
         """
         own_pool = pool is None
         if own_pool:
             pool = ProcessPoolExecutor(max_workers=slots)
-        inflight: deque[tuple[int, Future, int]] = deque()
-        resolve_futs: dict[int, Future] = {}
+        inflight: deque[tuple[int, int, Future]] = deque()
 
-        def submit_resolve(r: int) -> None:
-            if r in resolve_futs:
-                return  # an older tally is in flight; regrowth rechecked on completion
-            if self._retry_wanted(r):
-                resolve_futs[r] = pool.submit(
-                    _resolve_task,
-                    self.store.parked[r],
-                    dict(self.store.votes[r]),
-                    self.tau,
-                    self.n,
-                    self.f,
-                )
-
-        def check_resolves(block: bool = False) -> None:
-            for r in sorted(resolve_futs):
-                fut = resolve_futs[r]
-                if block or fut.done():
-                    order, diags = fut.result()
-                    del resolve_futs[r]
-                    self.store.diagnostics.extend(diags)
-                    if order is not None:
-                        del self.store.parked[r]
-                        mark_ready(self.store, order)
-                    else:
-                        # votes that arrived while the tally ran trigger a retry
-                        submit_resolve(r)
-            self._drain_emit()
-
-        def drain_one() -> None:
-            r, fut, extract_ns = inflight.popleft()
-            report, weights_ns = fut.result()
-            res = pool.submit(_build_task, report, self.chain, self.tau).result()
-            self._land(r, extract_ns, weights_ns, res, resolve_hook=submit_resolve)
-            check_resolves()
+        def land_oldest() -> None:
+            r, extract_ns, fut = inflight.popleft()
+            self._land(r, extract_ns, *fut.result())
 
         try:
             for rec in records:
-                for r in route_votes(self.store, rec, self.n, self.f):
-                    submit_resolve(r)
-                check_resolves()
-                t0 = perf_counter_ns()
-                snap, _claim = extract_snapshot(self.state, rec)
-                extract_ns = perf_counter_ns() - t0
-                wfut = pool.submit(
-                    _weights_task, snap.r, snap.orders, self.n, self.f, self.gamma
-                )
-                inflight.append((snap.r, wfut, extract_ns))
-                while len(inflight) >= max(1, slots):
-                    drain_one()
+                self._route(rec)
+                snap, extract_ns = self._extract(rec)
+                fut = pool.submit(_weights_task, snap.r, snap.orders, self.n, self.f, self.gamma)
+                inflight.append((snap.r, extract_ns, fut))
+                if len(inflight) >= max(1, slots):
+                    land_oldest()
             while inflight:
-                drain_one()
-            while resolve_futs:
-                check_resolves(block=True)
+                land_oldest()
         finally:
             if own_pool:
                 pool.shutdown()

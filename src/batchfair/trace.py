@@ -92,15 +92,6 @@ class RunTrace:
                     out[e["replica"]].append(digest)
         return out
 
-    def contribution_lois(self) -> dict[int, list[tuple[str, int]]]:
-        """Per replica, (digest, loi) stream in vertex creation order."""
-        out: dict[int, list[tuple[str, int]]] = {i: [] for i in range(self.n_replicas())}
-        for e in self.events:
-            if e["ev"] == "vertex_created":
-                for _kind, digest, loi in e["entries"]:
-                    out[e["replica"]].append((digest, loi))
-        return out
-
     def commit_records(self) -> list[CommitRecord]:
         """Reassemble the committed-subdag stream the fairness layer consumed."""
         verts: dict[str, dict] = {}

@@ -188,43 +188,90 @@ def encode_batch(batch: Batch, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown batch wire format {fmt!r}")
 
 
-def decode_batch(data: bytes, fmt: str = "json") -> Batch:
-    if fmt == "json":
+class WireError(ValueError):
+    """Batch bytes that do not decode to a well-formed batch."""
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise WireError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _str(value) -> str:
+    if type(value) is not str:
+        raise WireError(f"expected a string, got {value!r}")
+    return value
+
+
+def _decode_json(data: bytes) -> Batch:
+    try:
         doc = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:
+        raise WireError(f"not a JSON document: {exc}") from None
+    try:
         entries = []
         for item in doc["entries"]:
-            kind, digest, loi = item[0], item[1], item[2]
-            body = item[3] if kind == DIRECT else None
-            entries.append(Entry(kind, digest, loi, body))
-        votes = tuple(
-            FairUpdateVote(v["author"], v["r"], tuple(tuple(e) for e in v["edges"]))
-            for v in doc["votes"]
-        )
-        return Batch(doc["author"], doc["seq"], tuple(entries), votes)
-    if fmt == "binary":
-        (total,) = struct.unpack_from("<I", data, 0)
-        if total != len(data) - 4:
-            raise ValueError("length prefix mismatch")
-        off = 4
-        author, seq, n_entries = struct.unpack_from("<IIH", data, off)
-        off += 10
-        entries = []
-        for _ in range(n_entries):
-            is_direct, digest, loi, blen = struct.unpack_from("<B32sQI", data, off)
-            off += 45
-            body = data[off : off + blen].decode() if is_direct else None
-            off += blen
-            entries.append(Entry(DIRECT if is_direct else INDIRECT, digest.hex(), loi, body))
-        (n_votes,) = struct.unpack_from("<H", data, off)
-        off += 2
+            kind = item[0]
+            if kind not in (DIRECT, INDIRECT) or len(item) != (4 if kind == DIRECT else 3):
+                raise WireError(f"malformed entry {item!r}")
+            body = _str(item[3]) if kind == DIRECT else None
+            entries.append(Entry(kind, _str(item[1]), _int(item[2]), body))
         votes = []
-        for _ in range(n_votes):
-            vauthor, target_r, n_edges = struct.unpack_from("<IIH", data, off)
-            off += 10
+        for v in doc["votes"]:
             edges = []
-            for _ in range(n_edges):
-                edges.append((data[off : off + 32].hex(), data[off + 32 : off + 64].hex()))
-                off += 64
-            votes.append(FairUpdateVote(vauthor, target_r, tuple(edges)))
-        return Batch(author, seq, tuple(entries), tuple(votes))
+            for edge in v["edges"]:
+                if type(edge) is not list or len(edge) != 2:
+                    raise WireError(f"malformed edge {edge!r}")
+                edges.append((_str(edge[0]), _str(edge[1])))
+            votes.append(FairUpdateVote(_int(v["author"]), _int(v["r"]), tuple(edges)))
+        return Batch(_int(doc["author"]), _int(doc["seq"]), tuple(entries), tuple(votes))
+    except (KeyError, IndexError, TypeError) as exc:
+        raise WireError(f"malformed batch document: {exc!r}") from None
+
+
+def _decode_binary(data: bytes) -> Batch:
+    off = 0
+
+    def take(fmt: str) -> tuple:
+        nonlocal off
+        size = struct.calcsize(fmt)
+        if off + size > len(data):
+            raise WireError("truncated batch")
+        off += size
+        return struct.unpack_from(fmt, data, off - size)
+
+    (total,) = take("<I")
+    if total != len(data) - 4:
+        raise WireError("length prefix mismatch")
+    author, seq, n_entries = take("<IIH")
+    entries = []
+    for _ in range(n_entries):
+        is_direct, digest, loi, blen = take("<B32sQI")
+        if is_direct > 1 or (blen and not is_direct):
+            raise WireError("malformed entry header")
+        body = None
+        if is_direct:
+            try:
+                body = take(f"{blen}s")[0].decode()
+            except UnicodeDecodeError:
+                raise WireError("entry body is not UTF-8") from None
+        entries.append(Entry(DIRECT if is_direct else INDIRECT, digest.hex(), loi, body))
+    (n_votes,) = take("<H")
+    votes = []
+    for _ in range(n_votes):
+        vauthor, target_r, n_edges = take("<IIH")
+        edges = tuple((u.hex(), w.hex()) for u, w in (take("32s32s") for _ in range(n_edges)))
+        votes.append(FairUpdateVote(vauthor, target_r, edges))
+    if off != len(data):
+        raise WireError(f"{len(data) - off} trailing bytes after the batch")
+    return Batch(author, seq, tuple(entries), tuple(votes))
+
+
+def decode_batch(data: bytes, fmt: str = "json") -> Batch:
+    """Decode wire bytes; malformed input of either format raises WireError."""
+    if fmt == "json":
+        return _decode_json(data)
+    if fmt == "binary":
+        return _decode_binary(data)
     raise ValueError(f"unknown batch wire format {fmt!r}")

@@ -5,10 +5,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchfair.finalize import finalize_order
 from batchfair.graph import (
     CumulativeState,
-    Finalized,
-    Parked,
     Snapshot,
     apply_result,
     condensation_order,
@@ -17,7 +16,6 @@ from batchfair.graph import (
     phase1_weights,
     phase2_build_graph,
     phase3_anchor,
-    phase4_dispatch,
     tarjan_scc,
 )
 from batchfair.params import edge_threshold
@@ -244,10 +242,10 @@ def test_phase4_finalizes_without_missing():
     rep, (a, b, c) = _condorcet_report()
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
     trunc, *_ = phase3_anchor(g)
-    out = phase4_dispatch(trunc)
-    assert isinstance(out, Finalized)
-    assert out.order.digests == tuple(sorted([a, b, c]))
-    assert out.order.batches == ((0, 3),)
+    assert trunc.missing == []
+    order = finalize_order(trunc)
+    assert order.digests == tuple(sorted([a, b, c]))
+    assert order.batches == ((0, 3),)
 
 
 def test_phase4_parks_with_missing():
@@ -256,9 +254,7 @@ def test_phase4_parks_with_missing():
     rep = phase1_weights(snap, 5, 1, 1)
     g = phase2_build_graph(rep, frozenset(), Fraction(3))  # force 2/1 below 3
     trunc, *_ = phase3_anchor(g)
-    out = phase4_dispatch(trunc)
-    assert isinstance(out, Parked)
-    assert out.graph.missing == [tuple(sorted((x, y)))]
+    assert trunc.missing == [tuple(sorted((x, y)))]
 
 
 # -- cumulative state: extract + apply -------------------------------------------------

@@ -9,7 +9,7 @@ from batchfair.adversaries import (
 )
 from batchfair.dagsim import Simulator
 from batchfair.params import SimConfig
-from batchfair.pipeline import FairnessPipeline
+from batchfair.pipeline import FairnessPipeline, _weights_task
 from batchfair.types import orders_digest
 
 
@@ -40,6 +40,29 @@ def test_concurrent_replay_matches_in_loop_with_parked_graphs(pool):
     )
     assert conc.emitted == res.pipeline.emitted
     assert orders_digest(conc.emitted) == orders_digest(res.pipeline.emitted)
+
+
+class CountingExecutor:
+    """Delegates to a real pool and records the function of every submit."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.submitted = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append(fn)
+        return self._pool.submit(fn, *args, **kwargs)
+
+
+def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
+    res, cfg = simulate(seed=42, skew=0.3)
+    assert any(e["ev"] == "graph_parked" for e in res.trace.events)
+    counting = CountingExecutor(pool)
+    conc = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay_concurrent(
+        res.records, slots=4, pool=counting
+    )
+    assert counting.submitted == [_weights_task] * len(res.records)
+    assert conc.emitted == res.pipeline.emitted
 
 
 @pytest.mark.parametrize("slots", [1, 2, 4])

@@ -1,8 +1,11 @@
+import json
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchfair.types import DIRECT, INDIRECT, tx_digest
-from batchfair.worker import WorkerState, decode_batch, encode_batch
+from batchfair.types import DIRECT, INDIRECT, Batch, tx_digest
+from batchfair.worker import WireError, WorkerState, decode_batch, encode_batch
 
 
 def d(name: str) -> str:
@@ -207,4 +210,82 @@ def test_wire_round_trip_property(names, fmt, reverse):
         else:
             w.observe_client(name, d(name))
     batch = w.build_batch()
+    assert decode_batch(encode_batch(batch, fmt), fmt) == batch
+
+
+def _json_with(path, value):
+    doc = json.loads(encode_batch(_example_batch(), "json"))
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "fmt, wire",
+    [
+        ("binary", encode_batch(_example_batch(), "binary")[:-3]),
+        ("binary", encode_batch(_example_batch(), "binary")[:3]),
+        ("json", b'{"author": 0, "seq": 0, "votes": []}'),
+        ("json", b'{"author": 0, "seq": 0, "entries": []}'),
+        ("json", b"\xff"),
+    ],
+)
+def test_decode_batch_rejects_truncated_or_incomplete_input(fmt, wire):
+    with pytest.raises(WireError):
+        decode_batch(wire, fmt)
+
+
+def test_binary_decode_rejects_trailing_bytes_inside_declared_length():
+    wire = encode_batch(_example_batch(), "binary")
+    padded = struct.pack("<I", len(wire) - 4 + 2) + wire[4:] + b"\0\0"
+    with pytest.raises(WireError):
+        decode_batch(padded, "binary")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+JSON_PATHS = st.sampled_from(
+    [("author",), ("seq",), ("entries",), ("votes",), ("entries", 0), ("entries", 0, 0),
+     ("entries", 0, 2), ("entries", 0, 3), ("votes", 0), ("votes", 0, "r"),
+     ("votes", 0, "edges"), ("votes", 0, "edges", 0)]
+)
+
+
+def _mangled(fmt):
+    wire = encode_batch(_example_batch(), fmt)
+    n = len(wire)
+
+    def with_tail(extra):
+        if fmt == "binary":  # keep the length prefix honest so the tail is inside it
+            return struct.pack("<I", n - 4 + len(extra)) + wire[4:] + extra
+        return wire + extra
+
+    strategies = [
+        st.binary(max_size=200),
+        st.integers(0, n - 1).map(lambda k: wire[:k]),
+        st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
+            lambda t: wire[: t[0]] + bytes([t[1]]) + wire[t[0] + 1 :]
+        ),
+        st.binary(min_size=1, max_size=8).map(with_tail),
+    ]
+    if fmt == "json":
+        strategies.append(st.builds(_json_with, JSON_PATHS, JSON_VALUES))
+    return st.one_of(strategies)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), fmt=st.sampled_from(["json", "binary"]))
+def test_decode_batch_yields_a_valid_batch_or_wire_error(data, fmt):
+    wire = data.draw(_mangled(fmt))
+    try:
+        batch = decode_batch(wire, fmt)
+    except WireError:
+        return
+    assert isinstance(batch, Batch)
     assert decode_batch(encode_batch(batch, fmt), fmt) == batch

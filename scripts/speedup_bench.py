@@ -2,7 +2,8 @@
 """Fairness-layer wall-clock: strictly serial vs concurrent task slots.
 
 Runs the speedup benchmark scenario once per slot count and prints the
-serial/concurrent wall-clock with the output-digest equality check. Needs
+median serial/concurrent wall-clock (harness.SPEEDUP_RUNS replays per side)
+with the output-digest equality check. Needs
 multiple physical cores for the concurrent mode to win.
 
 Usage: python scripts/speedup_bench.py [slots ...]

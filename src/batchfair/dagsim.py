@@ -22,15 +22,7 @@ from .adversaries import ClientSchedule, DelaySpike, FaultSchedule
 from .params import ConfigError, SimConfig
 from .pipeline import FairnessPipeline, PipelineResult
 from .trace import RunTrace
-from .types import (
-    Certificate,
-    CommitRecord,
-    Subdag,
-    Vertex,
-    record_from_subdag,
-    tx_digest,
-    vertex_id,
-)
+from .types import Certificate, CommitRecord, Vertex, VertexRecord, tx_digest, vertex_id
 from .worker import WorkerState, decode_batch, encode_batch
 
 
@@ -372,10 +364,10 @@ class Simulator:
     def _coin(self, wave: int) -> int:
         return random.Random(f"{self.cfg.seed}:coin:{wave}").randrange(self.cfg.n)
 
-    def try_commit(self) -> list[Subdag]:
+    def try_commit(self) -> list[CommitRecord]:
         """Commit every unchecked wave whose leader got f+1 child references."""
         cfg = self.cfg
-        out: list[Subdag] = []
+        out: list[CommitRecord] = []
         wave = 1
         while True:
             leader_round = (wave - 1) * cfg.wave_len + 1
@@ -399,7 +391,7 @@ class Simulator:
             wave += 1
         return out
 
-    def _commit(self, leader: Vertex, wave: int, commit_t: int) -> Subdag:
+    def _commit(self, leader: Vertex, wave: int, commit_t: int) -> CommitRecord:
         # causal history of the leader minus already-committed vertices
         stack = [leader]
         collected: dict[str, Vertex] = {}
@@ -415,19 +407,25 @@ class Simulator:
         self.committed_vids.update(collected)
         self.commit_seq += 1
         self.commit_time[self.commit_seq] = commit_t
-        subdag = Subdag(self.commit_seq, leader.vid, vertices)
         self.trace.append(
             {
                 "ev": "subdag_committed",
                 "t": commit_t,
                 "replica": None,
-                "r": subdag.r,
+                "r": self.commit_seq,
                 "wave": wave,
                 "leader": leader.vid,
                 "vertices": [v.vid for v in vertices],
             }
         )
-        return subdag
+        vrs = []
+        for v in vertices:
+            if v.batch is None:
+                vrs.append(VertexRecord(v.author, v.round, v.vid, ()))
+            else:
+                entries = tuple((e.digest, e.loi) for e in v.batch.entries)
+                vrs.append(VertexRecord(v.author, v.round, v.vid, entries, v.batch.votes))
+        return CommitRecord(self.commit_seq, leader.vid, tuple(vrs))
 
     # -- full run ---------------------------------------------------------------------
 
@@ -435,9 +433,8 @@ class Simulator:
         cfg = self.cfg
         while self.round <= cfg.max_rounds:
             self.advance_round()
-            for subdag in self.try_commit():
-                commit_t = self.commit_time[subdag.r]
-                record = record_from_subdag(subdag)
+            for record in self.try_commit():
+                commit_t = self.commit_time[record.r]
                 self.records.append(record)
                 self.pipeline.on_commit(record, now=commit_t)
                 for order in self.pipeline.emitted[self._emitted_seen:]:

@@ -1,17 +1,17 @@
 """Vote routing, missing-edge resolution, linearization, and the Emit gate.
 
-Parked graphs accumulate FairUpdate votes extracted from later committed
-subdags. Once votes from n-f distinct authors are in, missing edges are
-tallied and installed; finalization linearizes each SCC (digest-sorted) in
-canonical condensation order. Emit drains completed orders strictly in
-subdag commit order.
+Phase 3 (graph.py) linearizes every subdag with no missing pair. Parked
+graphs accumulate FairUpdate votes extracted from later committed subdags.
+Once votes from n-f distinct authors are in, missing edges are tallied and
+installed; finalize_order then linearizes the augmented graph's SCCs. Emit
+drains completed orders strictly in subdag commit order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import DepGraph, condensation_order, count_threshold, tarjan_scc
+from .graph import DepGraph, condensation_order, count_threshold, linearize, tarjan_scc
 from .types import CommitRecord, FinalOrder
 
 
@@ -23,19 +23,18 @@ class ParkedStore:
     votes: dict[int, dict[int, tuple[tuple[str, str], ...]]] = field(default_factory=dict)
     ready: dict[int, FinalOrder] = field(default_factory=dict)
     next: int = 1
-    emitted: list[FinalOrder] = field(default_factory=list)
-    done: set[int] = field(default_factory=set)  # finalized or emitted subdag ids
     diagnostics: list[dict] = field(default_factory=list)
 
 
 def route_votes(store: ParkedStore, record: CommitRecord, n: int, f: int) -> list[int]:
     """Record a committed subdag's votes; first vote per (author, target) wins.
 
-    Votes targeting already-finalized subdags are dropped. Returns the parked
-    subdag ids whose distinct-author count has reached n-f.
+    Votes targeting already-finalized subdags (emitted, or ready to emit)
+    are dropped. Returns the parked subdag ids whose distinct-author count
+    has reached n-f.
     """
     for vote in record.votes():
-        if vote.target_r in store.done:
+        if vote.target_r < store.next or vote.target_r in store.ready:
             continue
         by_author = store.votes.setdefault(vote.target_r, {})
         if vote.author not in by_author:
@@ -107,30 +106,22 @@ def apply_fair_update(store: ParkedStore, r: int, tau, n: int, f: int) -> FinalO
     del store.parked[r]
     store.votes.pop(r, None)
     store.ready[r] = order
-    store.done.add(r)
     return order
 
 
 def finalize_order(graph: DepGraph) -> FinalOrder:
-    """Linearize the (augmented) truncated graph.
+    """Linearize a parked graph once votes have installed its missing edges.
 
-    SCCs are recomputed, canonically ordered, and each SCC is emitted as one
-    contiguous batch sorted by transaction digest.
+    The added edges can merge SCCs, so they are recomputed and canonically
+    ordered before linearization.
     """
     assert not graph.missing, "finalize requires all pairs resolved"
     sccs = condensation_order(tarjan_scc(graph.nodes, graph.adj), graph.adj, graph.nodes)
-    digests: list[str] = []
-    batches: list[tuple[int, int]] = []
-    for scc in sccs:
-        start = len(digests)
-        digests.extend(sorted(graph.nodes[v] for v in scc))
-        batches.append((start, len(digests)))
-    return FinalOrder(graph.r, tuple(digests), tuple(batches))
+    return linearize(graph.r, graph.nodes, sccs)
 
 
 def mark_ready(store: ParkedStore, order: FinalOrder) -> None:
     store.ready[order.r] = order
-    store.done.add(order.r)
     store.votes.pop(order.r, None)
 
 
@@ -138,8 +129,6 @@ def emit(store: ParkedStore) -> list[FinalOrder]:
     """Serialization point: drain ready orders in consecutive subdag order."""
     out: list[FinalOrder] = []
     while store.next in store.ready:
-        order = store.ready.pop(store.next)
-        store.emitted.append(order)
-        out.append(order)
+        out.append(store.ready.pop(store.next))
         store.next += 1
     return out

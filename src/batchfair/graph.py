@@ -3,8 +3,10 @@
 Phase 1 classifies support and computes the pairwise weight matrix (the
 dominant cost, a pure function of the snapshot). Phase 2 filters the active
 set through the cumulative chain and adds directed edges. Phase 3 decomposes
-into SCCs, truncates past the anchor, and forwards the extended chain.
-Phase 4 (finalize or park) is the coordinator's, in pipeline.py.
+into SCCs, truncates past the anchor, and forwards the extended chain. When
+no retained pair is missing, phase 3 also linearizes the retained SCCs into
+the subdag's final order; otherwise it returns the truncated graph, which the
+coordinator (pipeline.py) parks until votes resolve its missing edges.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and the cumulative
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import ceil
 
 from .params import edge_threshold, solid_threshold
-from .types import CommitRecord
+from .types import CommitRecord, FinalOrder
 
 
 def count_threshold(tau) -> int:
@@ -66,7 +68,6 @@ class DepGraph:
     missing: list[tuple[str, str]]
     solids: frozenset[str]
     prior_chain: frozenset[str]
-    anchor: int = -1  # 1-based SCC count up to anchor; 0 = no solid anywhere
 
 
 class CumulativeState:
@@ -77,9 +78,8 @@ class CumulativeState:
     """
 
     def __init__(self, n: int, f: int, gamma) -> None:
-        self.n = n
-        self.f = f
-        self.gamma = gamma
+        self.tau_i = count_threshold(edge_threshold(n, f, gamma))
+        self.tau_s = solid_threshold(n, f)
         self.pending: dict[int, list[str]] = {}
         self.seen: dict[int, set[str]] = {}
         self.proposed: set[str] = set()
@@ -97,16 +97,19 @@ class CumulativeState:
                 pseen.add(digest)
                 plist.append(digest)
 
-    def snapshot_solids(self, orders: dict[int, tuple[str, ...]]) -> frozenset[str]:
-        tau_i = count_threshold(edge_threshold(self.n, self.f, self.gamma))
-        tau_s = solid_threshold(self.n, self.f)
-        support: dict[str, int] = {}
-        for author in sorted(orders):
-            for d in orders[author]:
-                support[d] = support.get(d, 0) + 1
-        return frozenset(
-            d for d, c in support.items() if c >= tau_s and c >= tau_i
-        )
+
+def support_classes(
+    orders: dict[int, tuple[str, ...]], tau_i: int, tau_s: int
+) -> tuple[dict[str, int], list[str], frozenset[str]]:
+    """Support count per digest, the admitted digests (support >= tau_i,
+    sorted) and the solid ones among them (support >= tau_s)."""
+    support: dict[str, int] = {}
+    for author in sorted(orders):
+        for d in orders[author]:
+            support[d] = support.get(d, 0) + 1
+    admitted = sorted(d for d, c in support.items() if c >= tau_i)
+    solid = frozenset(d for d in admitted if support[d] >= tau_s)
+    return support, admitted, solid
 
 
 def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snapshot, frozenset[str]]:
@@ -131,7 +134,7 @@ def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snap
         if plist
     }
     orders = {a: o for a, o in orders.items() if o}
-    claim = state.snapshot_solids(orders)
+    claim = support_classes(orders, state.tau_i, state.tau_s)[2]
     state.claims[record.r] = claim
     return Snapshot(record.r, orders), claim
 
@@ -157,14 +160,9 @@ def phase1_weights(snapshot: Snapshot, n: int, f: int, gamma) -> WeightReport:
 
     Pure function of the snapshot: no shared-state reads, rerunnable.
     """
-    tau_i = count_threshold(edge_threshold(n, f, gamma))
-    tau_s = solid_threshold(n, f)
-    support: dict[str, int] = {}
-    for author in sorted(snapshot.orders):
-        for d in snapshot.orders[author]:
-            support[d] = support.get(d, 0) + 1
-    admitted = sorted(d for d, c in support.items() if c >= tau_i)
-    solid = frozenset(d for d in admitted if support[d] >= tau_s)
+    support, admitted, solid = support_classes(
+        snapshot.orders, count_threshold(edge_threshold(n, f, gamma)), solid_threshold(n, f)
+    )
     idx = {d: k for k, d in enumerate(admitted)}
     m = len(admitted)
     weights = array("I", bytes(4 * m * m))
@@ -314,15 +312,34 @@ def condensation_order(
     return [sccs[i] for i in order]
 
 
+def linearize(r: int, nodes: list[str], sccs: list[list[int]]) -> FinalOrder:
+    """Emit each SCC, in the given order, as one contiguous batch sorted by
+    transaction digest."""
+    digests: list[str] = []
+    batches: list[tuple[int, int]] = []
+    for scc in sccs:
+        start = len(digests)
+        digests.extend(sorted(nodes[v] for v in scc))
+        batches.append((start, len(digests)))
+    return FinalOrder(r, tuple(digests), tuple(batches))
+
+
 # -- Phase 3 ------------------------------------------------------------------
 
 
-def phase3_anchor(graph: DepGraph) -> tuple[DepGraph, int, list[str], frozenset[str]]:
+def phase3_anchor(
+    graph: DepGraph,
+) -> tuple[FinalOrder | DepGraph, int, list[str], frozenset[str]]:
     """SCC decomposition, anchor truncation, and chain forwarding.
 
     The anchor is the last SCC (canonical condensation order) containing a
     solid vertex; everything after it returns to pending. With no solid vertex
     nothing is retained and the chain passes through unchanged.
+
+    Returns the subdag's FinalOrder when no retained pair is missing (the
+    retained SCCs are a predecessor-closed prefix of the canonical order, so
+    they already are the truncated graph's final order), else the truncated
+    graph to park.
     """
     sccs = condensation_order(tarjan_scc(graph.nodes, graph.adj), graph.adj, graph.nodes)
     solid_idx = {i for i, d in enumerate(graph.nodes) if d in graph.solids}
@@ -331,18 +348,19 @@ def phase3_anchor(graph: DepGraph) -> tuple[DepGraph, int, list[str], frozenset[
         if any(v in solid_idx for v in scc):
             anchor = j
     retained = sorted(v for scc in sccs[:anchor] for v in scc)
-    remap = {v: i for i, v in enumerate(retained)}
     nodes = [graph.nodes[v] for v in retained]
+    kept_set = set(nodes)
+    token = frozenset(graph.prior_chain | kept_set)
+    missing = [(u, v) for u, v in graph.missing if u in kept_set and v in kept_set]
+    if not missing:
+        return linearize(graph.r, graph.nodes, sccs[:anchor]), anchor, nodes, token
+    remap = {v: i for i, v in enumerate(retained)}
     adj = [
         sorted(remap[w] for w in graph.adj[v] if w in remap) for v in retained
     ]
-    kept_set = set(nodes)
-    missing = [(u, v) for u, v in graph.missing if u in kept_set and v in kept_set]
     truncated = DepGraph(
         graph.r, nodes, adj, missing,
         frozenset(d for d in graph.solids if d in kept_set),
-        graph.prior_chain, anchor,
+        graph.prior_chain,
     )
-    token = frozenset(graph.prior_chain | kept_set)
     return truncated, anchor, nodes, token
-

@@ -76,7 +76,16 @@ def solid_threshold(n: int, f: int) -> int:
 
 @dataclass
 class SimConfig:
-    """Parameters of one deterministic simulation run."""
+    """Parameters of one deterministic simulation run.
+
+    ``quorum`` (vertices referenced per round) and ``readiness``
+    (certificates a replica waits for before proposing the next round) are
+    derived once, when the config is validated. The fairness threshold only
+    needs the quorum of references, but waiting for n-f certificates (the
+    base DAG's rule) keeps the DAG connected when f is small; at f=0 the
+    quorum alone collapses to one vertex and the DAG would degenerate into
+    disconnected per-replica chains.
+    """
 
     n: int
     f: int
@@ -93,7 +102,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         self.gamma = parse_gamma(self.gamma)
-        check_thresholds(self.n, self.f, self.gamma)
+        self.quorum = quorum_size(self.n, self.f, self.gamma)  # validates n, f, gamma
+        self.readiness = max(self.quorum, self.n - self.f)
         if self.wave_len < 2:
             raise ConfigError(f"wave_len must be >= 2, got {self.wave_len}")
         if self.delivery_model not in ("uniform", "lockstep"):
@@ -102,21 +112,6 @@ class SimConfig:
             raise ConfigError(f"unknown batch wire format {self.batch_wire!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(self.n, self.f, self.gamma)
-
-    @property
-    def readiness(self) -> int:
-        """Certificates a replica waits for before proposing the next round.
-
-        The fairness threshold only needs (k-1)f+1 references, but waiting for
-        n-f (the base DAG's rule) keeps the DAG connected when f is small; at
-        f=0 the quorum alone collapses to one vertex and the DAG would
-        degenerate into disconnected per-replica chains.
-        """
-        return max(self.quorum, self.n - self.f)
 
     @property
     def tau(self) -> Fraction:

@@ -29,14 +29,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter_ns
 
-from .finalize import (
-    ParkedStore,
-    apply_fair_update,
-    emit,
-    finalize_order,
-    mark_ready,
-    route_votes,
-)
+from .finalize import ParkedStore, apply_fair_update, emit, mark_ready, route_votes
 from .graph import (
     CumulativeState,
     Snapshot,
@@ -129,11 +122,11 @@ class FairnessPipeline:
         t0 = perf_counter_ns()
         graph = phase2_build_graph(report, self.chain, self.tau)
         t1 = perf_counter_ns()
-        trunc, anchor, k_digests, self.chain = phase3_anchor(graph)
+        outcome, anchor, k_digests, self.chain = phase3_anchor(graph)
         t2 = perf_counter_ns()
         apply_result(self.state, r, k_digests)
-        order = None if trunc.missing else finalize_order(trunc)
         t3 = perf_counter_ns()
+        parked = None if isinstance(outcome, FinalOrder) else outcome
         self._trace(
             {
                 "ev": "graph_built",
@@ -141,7 +134,7 @@ class FairnessPipeline:
                 "replica": None,
                 "r": r,
                 "v": len(report.admitted),
-                "m": len(trunc.missing),
+                "m": 0 if parked is None else len(parked.missing),
                 "anchor": anchor,
                 "k": len(k_digests),
                 "k_digests": list(k_digests),
@@ -157,21 +150,21 @@ class FairnessPipeline:
         }
         self.profiles.append(profile)
         self._trace({"ev": "graph_profile", "t": self.now, "replica": None, **profile})
-        if order is not None:
-            mark_ready(self.store, order)
+        if parked is None:
+            mark_ready(self.store, outcome)
         else:
-            self.store.parked[r] = trunc
+            self.store.parked[r] = parked
             self._trace(
                 {
                     "ev": "graph_parked",
                     "t": self.now,
                     "replica": None,
                     "r": r,
-                    "pairs": [list(p) for p in trunc.missing],
+                    "pairs": [list(p) for p in parked.missing],
                 }
             )
             if self.fairpropose_cb is not None:
-                self.fairpropose_cb(r, set(trunc.missing))
+                self.fairpropose_cb(r, set(parked.missing))
             self._try_resolve(r)
         self._drain_emit()
 

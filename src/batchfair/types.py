@@ -91,15 +91,6 @@ class Certificate:
     attestors: frozenset[int]
 
 
-@dataclass
-class Subdag:
-    """Newly committed causal history of a leader, in deterministic topo order."""
-
-    r: int  # 1-based consecutive commit sequence number
-    leader_vid: str
-    vertices: list[Vertex]
-
-
 @dataclass(frozen=True)
 class FinalOrder:
     """The finalized transaction order of one subdag.
@@ -126,9 +117,10 @@ class VertexRecord:
 
 @dataclass(frozen=True)
 class CommitRecord:
-    """One committed subdag as seen by the fairness layer."""
+    """One committed subdag as seen by the fairness layer: the leader's newly
+    committed causal history, in deterministic topological order."""
 
-    r: int
+    r: int  # 1-based consecutive commit sequence number
     leader_vid: str
     vertices: tuple[VertexRecord, ...]
 
@@ -137,17 +129,6 @@ class CommitRecord:
         for v in self.vertices:
             out.extend(v.votes)
         return out
-
-
-def record_from_subdag(subdag: Subdag) -> CommitRecord:
-    vrs = []
-    for v in subdag.vertices:
-        if v.batch is None:
-            vrs.append(VertexRecord(v.author, v.round, v.vid, ()))
-        else:
-            entries = tuple((e.digest, e.loi) for e in v.batch.entries)
-            vrs.append(VertexRecord(v.author, v.round, v.vid, entries, v.batch.votes))
-    return CommitRecord(subdag.r, subdag.leader_vid, tuple(vrs))
 
 
 def orders_digest(orders: list[FinalOrder]) -> str:

@@ -26,7 +26,7 @@ def vote_record(r: int, votes: list[FairUpdateVote]) -> CommitRecord:
 
 def parked_pair_graph(r: int = 3):
     u, v = sorted((d("u"), d("v")))
-    g = DepGraph(r, [u, v], [[], []], [(u, v)], frozenset({u, v}), frozenset(), 1)
+    g = DepGraph(r, [u, v], [[], []], [(u, v)], frozenset({u, v}), frozenset())
     return g, u, v
 
 
@@ -137,7 +137,7 @@ def test_apply_requires_parked():
 def test_finalize_linear_chain_topological():
     names = sorted([d("x"), d("y"), d("z")])
     # build x -> y -> z in digest order for a deterministic expectation
-    g = DepGraph(1, names, [[1], [2], []], [], frozenset(names), frozenset(), 3)
+    g = DepGraph(1, names, [[1], [2], []], [], frozenset(names), frozenset())
     order = finalize_order(g)
     assert order.digests == tuple(names)
     assert order.batches == ((0, 1), (1, 2), (2, 3))
@@ -145,7 +145,7 @@ def test_finalize_linear_chain_topological():
 
 def test_finalize_condorcet_single_contiguous_batch():
     names = sorted([d("a"), d("b"), d("c")])
-    g = DepGraph(1, names, [[1], [2], [0]], [], frozenset(names), frozenset(), 1)
+    g = DepGraph(1, names, [[1], [2], [0]], [], frozenset(names), frozenset())
     order = finalize_order(g)
     assert order.batches == ((0, 3),)
     assert order.digests == tuple(names)  # digest-sorted inside the batch
@@ -166,7 +166,7 @@ def test_finalize_random_tournament_matches_condensation_oracle():
             else:
                 adj[j].append(i)
                 edges.add((nodes[j], nodes[i]))
-    order = finalize_order(DepGraph(1, nodes, adj, [], frozenset(), frozenset(), 0))
+    order = finalize_order(DepGraph(1, nodes, adj, [], frozenset(), frozenset()))
     expected = []
     for scc in reachability_scc(nodes, edges):
         expected.extend(sorted(scc))

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchfair.finalize import finalize_order
 from batchfair.graph import (
     CumulativeState,
     Snapshot,
@@ -19,7 +18,7 @@ from batchfair.graph import (
     tarjan_scc,
 )
 from batchfair.params import edge_threshold
-from batchfair.types import CommitRecord, VertexRecord, tx_digest
+from batchfair.types import CommitRecord, FinalOrder, VertexRecord, tx_digest
 
 
 def d(name) -> str:
@@ -211,9 +210,9 @@ def test_phase3_truncates_past_anchor():
     rep = phase1_weights(snap, 5, 1, 1)  # tau=2, tau_s=3
     assert rep.solid == frozenset({x})
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
-    trunc, anchor, k, token = phase3_anchor(g)
+    order, anchor, k, token = phase3_anchor(g)
     assert k == [x]
-    assert trunc.nodes == [x] and not trunc.missing
+    assert order == FinalOrder(1, (x,), ((0, 1),))
     assert token == frozenset({x})
 
 
@@ -241,9 +240,7 @@ def test_phase3_empty_graph():
 def test_phase4_finalizes_without_missing():
     rep, (a, b, c) = _condorcet_report()
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
-    trunc, *_ = phase3_anchor(g)
-    assert trunc.missing == []
-    order = finalize_order(trunc)
+    order, *_ = phase3_anchor(g)
     assert order.digests == tuple(sorted([a, b, c]))
     assert order.batches == ((0, 3),)
 

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from batchfair import finalize, graph, params
 from batchfair.adversaries import (
     REVERSE_ORDER,
     SILENT_CRASH,
@@ -63,6 +66,46 @@ def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
     )
     assert counting.submitted == [_weights_task] * len(res.records)
     assert conc.emitted == res.pipeline.emitted
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` in every batchfair namespace that holds it; the
+    returned list grows by one entry per call."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("batchfair") and vars(mod).get(name) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_scc_pass_once_per_subdag_and_finalize_only_on_resolve(monkeypatch):
+    res, cfg = simulate(seed=42, skew=0.3)
+    tarjan = count_calls(monkeypatch, graph, "tarjan_scc")
+    finalized = count_calls(monkeypatch, finalize, "finalize_order")
+    events = []
+    out = FairnessPipeline(cfg.n, cfg.f, cfg.gamma, trace_cb=events.append).replay(res.records)
+    parked = {e["r"] for e in events if e["ev"] == "graph_parked"}
+    resolved = parked - set(out.parked_left)
+    assert resolved, "scenario must resolve parked subdags through votes"
+    assert len(tarjan) == len(res.records) + len(resolved)
+    assert len(finalized) == len(resolved)
+    assert out.emitted == res.pipeline.emitted
+
+
+def test_quorum_arithmetic_once_per_config(monkeypatch):
+    calls = count_calls(monkeypatch, params, "quorum_size")
+    counts = []
+    for rounds in (14, 28):  # twice the rounds, twice the DAG messages
+        before = len(calls)
+        simulate(seed=42, rounds=rounds)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("slots", [1, 2, 4])

@@ -77,7 +77,7 @@ def test_single_graph_and_chain_invariants_on_random_streams(records):
     for p, rec in zip(pipe.profiles, records):
         assert p["r"] == rec.r
     # single graph: each digest retained at most once across the run
-    retained = [d for o in pipe.store.emitted for d in o.digests]
+    retained = [d for o in pipe.emitted for d in o.digests]
     for r in sorted(pipe.store.ready):
         retained.extend(pipe.store.ready[r].digests)
     assert len(retained) == len(set(retained))

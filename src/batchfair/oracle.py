@@ -1,16 +1,21 @@
 """Independent reference implementations and trace checkers.
 
 Everything here is deliberately written against different machinery than the
-pipeline modules: support and weights by brute-force pair counting, SCCs by
-reachability closure over bitmasks, votes replayed from the recorded stream.
-Only the domain types are shared.
+pipeline modules. The serial reference counts weights from per-author rank
+arrays over each subdag's sorted admitted set (one boolean outer comparison
+per author, no pair objects), finds SCCs from a Warshall reachability
+closure over a boolean adjacency matrix, and replays votes from the recorded
+stream with per-author edge counts. Pair evidence is built from the kept
+weight matrices only when asked for. The fairness and Dist checkers compare
+per-replica position arrays. Only the domain types are shared.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -22,67 +27,50 @@ from .types import CommitRecord, FinalOrder
 # -- graph primitives (oracle-side) ---------------------------------------------
 
 
-def reachability_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[list[str]]:
-    """SCCs by transitive-closure bitmasks, in canonical condensation order.
+def _condensation(adj: np.ndarray) -> list[np.ndarray]:
+    """SCCs of a boolean adjacency matrix, in canonical condensation order.
 
-    Canonical order: Kahn's algorithm over the condensation with ties broken
-    by smallest member digest (the same protocol rule the pipeline follows,
-    implemented independently).
+    The reflexive-transitive closure comes from Warshall's algorithm, one
+    vectorized row update per intermediate node. Two nodes share an SCC when
+    each reaches the other. Canonical order: Kahn's algorithm over the
+    condensation, ties broken by the smallest member index. Each SCC is its
+    member indices in ascending order.
     """
-    m = len(nodes)
-    idx = {d: i for i, d in enumerate(nodes)}
-    succ = [0] * m
-    for u, v in edges:
-        succ[idx[u]] |= 1 << idx[v]
-    reach = list(succ)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(m):
-            acc = reach[i]
-            w = reach[i]
-            while w:
-                j = (w & -w).bit_length() - 1
-                acc |= reach[j]
-                w &= w - 1
-            if acc != reach[i]:
-                reach[i] = acc
-                changed = True
-    assigned = [False] * m
-    sccs: list[list[str]] = []
-    for i in range(m):
-        if assigned[i]:
-            continue
-        members = [i]
-        assigned[i] = True
-        for j in range(i + 1, m):
-            if not assigned[j] and (reach[i] >> j) & 1 and (reach[j] >> i) & 1:
-                members.append(j)
-                assigned[j] = True
-        sccs.append(sorted(members))
-    # condensation + canonical topological order
-    comp_of = {}
-    for k, scc in enumerate(sccs):
-        for v in scc:
-            comp_of[v] = k
-    out_edges: list[set[int]] = [set() for _ in sccs]
-    indeg = [0] * len(sccs)
-    for u, v in edges:
-        a, b = comp_of[idx[u]], comp_of[idx[v]]
-        if a != b and b not in out_edges[a]:
-            out_edges[a].add(b)
-            indeg[b] += 1
-    keys = [min(nodes[v] for v in scc) for scc in sccs]
+    m = len(adj)
+    if m == 0:
+        return []
+    reach = adj | np.eye(m, dtype=bool)
+    for k in range(m):
+        reach |= reach[:, k, None] & reach[k]
+    # the smallest index in each node's SCC labels it; labels ascend with comp
+    root = (reach & reach.T).argmax(axis=1)
+    roots, comp_of = np.unique(root, return_inverse=True)
+    c = len(roots)
+    cadj = np.zeros((c, c), dtype=bool)
+    src, dst = np.nonzero(adj)
+    cadj[comp_of[src], comp_of[dst]] = True
+    np.fill_diagonal(cadj, False)
+    indeg = cadj.sum(axis=0)
+    done = np.zeros(c, dtype=bool)
     order: list[int] = []
-    remaining = set(range(len(sccs)))
-    while remaining:
-        candidates = [k for k in remaining if indeg[k] == 0]
-        nxt = min(candidates, key=lambda k: keys[k])
-        remaining.discard(nxt)
-        order.append(nxt)
-        for b in out_edges[nxt]:
-            indeg[b] -= 1
-    return [[nodes[v] for v in sccs[k]] for k in order]
+    for _ in range(c):
+        k = int(np.argmax((indeg == 0) & ~done))  # smallest ready component
+        done[k] = True
+        order.append(k)
+        indeg[cadj[k]] -= 1
+    return [np.flatnonzero(comp_of == k) for k in order]
+
+
+def reachability_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[list[str]]:
+    """SCCs of a digest graph by reachability closure, in canonical
+    condensation order (Kahn with ties broken by smallest member digest).
+    Members of each SCC are listed in digest order."""
+    nodes = sorted(nodes)
+    idx = {d: i for i, d in enumerate(nodes)}
+    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for u, v in edges:
+        adj[idx[u], idx[v]] = True
+    return [[nodes[i] for i in scc] for scc in _condensation(adj)]
 
 
 # -- serial reference -------------------------------------------------------------
@@ -90,7 +78,7 @@ def reachability_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[list
 
 @dataclass
 class PairEvidence:
-    """Per-pair observations collected while the serial reference runs."""
+    """Per-pair observations of the serial reference (see SerialOutcome.evidence)."""
 
     weights: list[tuple[int, int]] = field(default_factory=list)  # (w_uv, w_vu), u < v
     vote_tally: tuple[int, int] | None = None
@@ -101,8 +89,63 @@ class SerialOutcome:
     orders: list[FinalOrder]
     stopped_at: int | None  # first subdag whose votes never sufficed, if any
     graphed_in: dict[str, int]  # digest -> subdag whose graph retained it
-    evidence: dict[tuple[str, str], PairEvidence]
+    # per processed subdag: its sorted admitted digests and their weight
+    # matrix, W[u, v] = number of authors reporting both with u first
+    weights: list[tuple[list[str], np.ndarray]]
+    vote_tallies: dict[tuple[str, str], tuple[int, int]]  # resolved pair -> (a, b)
     vote_mismatches: list[dict]
+
+    @cached_property
+    def evidence(self) -> dict[tuple[str, str], PairEvidence]:
+        """Every pair (u < v) admitted together in some subdag: its (w_uv,
+        w_vu) in each such subdag, in commit order, and its vote tally if
+        votes resolved it. Built on first access only."""
+        out: dict[tuple[str, str], PairEvidence] = {}
+        for admitted, w in self.weights:
+            iu, iv = np.triu_indices(len(admitted), k=1)
+            for u, v, wuv, wvu in zip(
+                iu.tolist(), iv.tolist(), w[iu, iv].tolist(), w[iv, iu].tolist()
+            ):
+                pair = (admitted[u], admitted[v])
+                ev = out.get(pair)
+                if ev is None:
+                    ev = out[pair] = PairEvidence()
+                ev.weights.append((wuv, wvu))
+        for pair, tally in self.vote_tallies.items():
+            out[pair].vote_tally = tally
+        return out
+
+
+def _weight_matrix(orders: list[list[str]], idx: dict[str, int]) -> np.ndarray:
+    """W[u, v] = number of orders holding both u and v with u first; each
+    order is restricted to the digests in ``idx``."""
+    m = len(idx)
+    w = np.zeros((m, m), dtype=np.int32)
+    rank = np.empty(m, dtype=np.int64)
+    for order in orders:
+        rank.fill(-1)
+        held = [idx[d] for d in order if d in idx]
+        rank[held] = np.arange(len(held))
+        w += (rank[:, None] < rank[None, :]) & (rank >= 0)[:, None]
+    return w
+
+
+def _first_sufficient_prefix(
+    counts: list[Counter], pairs: list[tuple[str, str]], start: int, tau_i: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Tally each pair over the first k vote authors, for the smallest k >=
+    start at which every pair has one direction at tau_i or above: returns
+    the (u->v, v->u) tallies at that k, or None if no prefix suffices.
+    Duplicate edges inside one vote count each time; start >= 1."""
+    if len(counts) < start:
+        return None
+    fwd = np.array([[c.get((u, v), 0) for u, v in pairs] for c in counts]).cumsum(axis=0)
+    rev = np.array([[c.get((v, u), 0) for u, v in pairs] for c in counts]).cumsum(axis=0)
+    enough = np.flatnonzero((np.maximum(fwd, rev) >= tau_i).all(axis=1)[start - 1:])
+    if not len(enough):
+        return None
+    k = start - 1 + enough[0]
+    return fwd[k], rev[k]
 
 
 def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> SerialOutcome:
@@ -128,7 +171,8 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
                 by_author[vote.author] = vote.edges
     orders: list[FinalOrder] = []
     graphed_in: dict[str, int] = {}
-    evidence: dict[tuple[str, str], PairEvidence] = {}
+    weights: list[tuple[list[str], np.ndarray]] = []
+    tallies: dict[tuple[str, str], tuple[int, int]] = {}
     mismatches: list[dict] = []
     stopped = None
 
@@ -146,78 +190,62 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
             for d in pending[author]:
                 support[d] = support.get(d, 0) + 1
         admitted = sorted(d for d, c in support.items() if c >= tau_i)
-        admitted_set = set(admitted)
-        solid = {d for d in admitted if support[d] >= tau_s}
-        wcount: dict[tuple[str, str], int] = {}
-        for author in sorted(pending):
-            filtered = [d for d in pending[author] if d in admitted_set]
-            for u, v in combinations(filtered, 2):
-                wcount[(u, v)] = wcount.get((u, v), 0) + 1
-        edges: set[tuple[str, str]] = set()
-        missing: list[tuple[str, str]] = []
-        for u, v in combinations(admitted, 2):
-            wuv = wcount.get((u, v), 0)
-            wvu = wcount.get((v, u), 0)
-            ev = evidence.setdefault((u, v), PairEvidence())
-            ev.weights.append((wuv, wvu))
-            if wuv >= tau_i or wvu >= tau_i:
-                edges.add((u, v) if wuv >= wvu else (v, u))
-            else:
-                missing.append((u, v))
-        sccs = reachability_scc(admitted, edges)
+        m = len(admitted)
+        solid = np.array([support[d] >= tau_s for d in admitted], dtype=bool)
+        w = _weight_matrix(
+            [pending[author] for author in sorted(pending)],
+            {d: i for i, d in enumerate(admitted)},
+        )
+        weights.append((admitted, w))
+        # an edge needs one direction at tau; it points the heavier way, and a
+        # tie points from the smaller digest (row index u < v)
+        upper = np.triu(np.ones((m, m), dtype=bool), k=1)
+        strong = (w >= tau_i) | (w.T >= tau_i)
+        adj = strong & ((w > w.T) | ((w == w.T) & upper))
+        sccs = _condensation(adj)
         anchor = 0
         for j, scc in enumerate(sccs, 1):
-            if any(d in solid for d in scc):
+            if solid[scc].any():
                 anchor = j
-        retained = {d for scc in sccs[:anchor] for d in scc}
+        keep = np.sort(np.concatenate(sccs[:anchor])) if anchor else np.empty(0, np.intp)
+        retained = [admitted[i] for i in keep.tolist()]  # sorted, as admitted is
         for d in retained:
             graphed_in[d] = rec.r
-        proposed |= retained
+        retained_set = set(retained)
+        proposed |= retained_set
         for author in pending:
-            pending[author] = [d for d in pending[author] if d not in retained]
-        live_missing = [(u, v) for u, v in missing if u in retained and v in retained]
+            pending[author] = [d for d in pending[author] if d not in retained_set]
+        sub = np.ix_(keep, keep)
+        kept_adj = adj[sub]
+        mu, mv = np.nonzero(upper[sub] & ~strong[sub])
+        live_missing = [(retained[u], retained[v]) for u, v in zip(mu.tolist(), mv.tolist())]
         if live_missing:
             by_author = votes_for.get(rec.r, {})
-            authors = list(by_author)
-            resolved = None
-            for k in range(n - f, len(authors) + 1):
-                tallies = {}
-                for u, v in live_missing:
-                    a = b = 0
-                    for author in authors[:k]:
-                        for x, y in by_author[author]:
-                            if (x, y) == (u, v):
-                                a += 1
-                            elif (x, y) == (v, u):
-                                b += 1
-                    tallies[(u, v)] = (a, b)
-                if all(max(t) >= tau_i for t in tallies.values()):
-                    resolved = tallies
-                    break
+            counts = [Counter(edges) for edges in by_author.values()]
+            resolved = _first_sufficient_prefix(counts, live_missing, n - f, tau_i)
             if resolved is None:
                 stopped = rec.r
                 break
-            for (u, v), (a, b) in resolved.items():
-                ev = evidence.setdefault((u, v), PairEvidence())
-                ev.vote_tally = (a, b)
-                edges.add((u, v) if a >= b else (v, u))
+            a, b = resolved
+            for pair, x, y in zip(live_missing, a.tolist(), b.tolist()):
+                tallies[pair] = (x, y)
+            forward = a >= b
+            kept_adj[mu[forward], mv[forward]] = True
+            kept_adj[mv[~forward], mu[~forward]] = True
             # sanity: every honest vote should cover exactly the missing set
-            for author in authors:
-                covered = {
-                    (x, y) if x <= y else (y, x) for x, y in by_author[author]
-                }
-                if not set(live_missing) <= covered:
+            missing_set = set(live_missing)
+            for author, c in zip(by_author, counts):
+                covered = {(x, y) if x <= y else (y, x) for x, y in c}
+                if not missing_set <= covered:
                     mismatches.append({"r": rec.r, "author": author})
-        kept_edges = {(u, v) for u, v in edges if u in retained and v in retained}
-        final_sccs = reachability_scc(sorted(retained), kept_edges)
         digests: list[str] = []
         batches: list[tuple[int, int]] = []
-        for scc in final_sccs:
+        for scc in _condensation(kept_adj):
             start = len(digests)
-            digests.extend(sorted(scc))
+            digests.extend(retained[i] for i in scc.tolist())
             batches.append((start, len(digests)))
         orders.append(FinalOrder(rec.r, tuple(digests), tuple(batches)))
-    return SerialOutcome(orders, stopped, graphed_in, evidence, mismatches)
+    return SerialOutcome(orders, stopped, graphed_in, weights, tallies, mismatches)
 
 
 # -- gamma-batch-order-fairness checker -----------------------------------------
@@ -314,31 +342,36 @@ def check_single_graph(trace: RunTrace) -> tuple[bool, str | None]:
     return True, None
 
 
-def check_loi_monotone(trace: RunTrace) -> tuple[bool, dict | None]:
-    """Per correct replica, committed contributions walked in subdag commit
-    order carry strictly increasing LOIs (rests on the self-referencing rule)."""
-    committed = trace.committed_lois()
-    for replica in trace.correct_replicas():
+def _first_descent(
+    committed: dict[int, list[tuple[str, int]]], replicas
+) -> dict | None:
+    """The first entry, replica by replica, whose LOI does not exceed the
+    one before it in that replica's committed stream."""
+    for replica in replicas:
         last = -1
         for digest, loi in committed[replica]:
             if loi <= last:
-                return False, {"replica": replica, "tx": digest, "loi": loi, "prev": last}
+                return {"replica": replica, "tx": digest, "loi": loi, "prev": last}
             last = loi
-    return True, None
+    return None
+
+
+def check_loi_monotone(trace: RunTrace) -> tuple[bool, dict | None]:
+    """Per replica, committed contributions walked in subdag commit order
+    carry strictly increasing LOIs (rests on the self-referencing rule).
+
+    Correct replicas are walked first, then crash-faulted ones: those are
+    honest until they stop, so their committed prefix must ascend too."""
+    _, crashes = trace.fault_roles()
+    bad = _first_descent(trace.committed_lois(), [*trace.correct_replicas(), *crashes])
+    return bad is None, bad
 
 
 def check_crashed_prefix_monotone(trace: RunTrace) -> tuple[bool, dict | None]:
-    """Crash-faulted replicas are honest until they stop; their committed
-    stream must be ascending too."""
-    committed = trace.committed_lois()
-    _, crashes = trace.fault_roles()
-    for replica in crashes:
-        last = -1
-        for digest, loi in committed[replica]:
-            if loi <= last:
-                return False, {"replica": replica, "tx": digest, "loi": loi}
-            last = loi
-    return True, None
+    """The crash-faulted half of ``check_loi_monotone`` on its own. The
+    harness does not call it; perfbench's probes patch it by name."""
+    bad = _first_descent(trace.committed_lois(), trace.fault_roles()[1])
+    return bad is None, bad
 
 
 # -- adversarial Dist histogram ----------------------------------------------------
@@ -355,6 +388,45 @@ class DistRow:
         return self.reversed_count / self.pair_count if self.pair_count else 0.0
 
 
+def _dist_arrays(
+    trace: RunTrace, emitted: list[FinalOrder]
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(txs, u, v, Dist, reversed) over the table's pairs, u < v as indices
+    into the sorted txs; see dist_pair_table."""
+    n = trace.n_replicas()
+    reported = trace.reported_orders()
+    receive = trace.receive_orders()
+    correct = trace.correct_replicas()
+    rank = batch_ranks(emitted)
+    # scope: reported by all N replicas (keeps Dist parity exact) and emitted
+    common = set.intersection(*(set(o) for o in reported.values()))
+    txs = sorted(d for d in common if d in rank)
+    t = len(txs)
+    empty = np.empty(0, dtype=np.intp)
+    if t < 2:
+        return txs, empty, empty, empty, empty.astype(bool)
+    rpos = np.zeros((n, t), dtype=np.int32)
+    for i in range(n):
+        where = {d: k for k, d in enumerate(reported[i])}
+        for k, d in enumerate(txs):
+            rpos[i, k] = where[d]
+    fwd = np.zeros((t, t), dtype=np.int16)
+    for i in range(n):
+        fwd += rpos[i, :, None] < rpos[i, None, :]
+    hc = np.zeros((t, t), dtype=np.int16)
+    for i in correct:
+        where = {d: k for k, d in enumerate(receive[i])}
+        cpos = np.array([where[d] for d in txs], dtype=np.int32)
+        hc += cpos[:, None] < cpos[None, :]
+    b = np.array([rank[d] for d in txs], dtype=np.int32)
+    reversed_ = (hc > hc.T) & (b[:, None] > b[None, :])  # against the honest majority
+    iu, iv = np.triu_indices(t, k=1)
+    decided = hc[iu, iv] != hc[iv, iu]
+    iu, iv = iu[decided], iv[decided]
+    dist = np.abs(fwd[iu, iv] - fwd[iv, iu])
+    return txs, iu, iv, dist, reversed_[iu, iv] | reversed_[iv, iu]
+
+
 def dist_pair_table(
     trace: RunTrace, emitted: list[FinalOrder]
 ) -> list[tuple[str, str, int, bool]]:
@@ -365,57 +437,22 @@ def dist_pair_table(
     emitted order disagrees with the honest-majority receive direction;
     same-batch pairs count as not reversed. Pairs with a tied honest count
     are excluded (no majority direction exists to disagree with)."""
-    n = trace.n_replicas()
-    reported = trace.reported_orders()
-    receive = trace.receive_orders()
-    correct = trace.correct_replicas()
-    rank = batch_ranks(emitted)
-    # scope: reported by all N replicas (keeps Dist parity exact) and emitted
-    common = set.intersection(*(set(o) for o in reported.values()))
-    txs = sorted(d for d in common if d in rank)
-    t = len(txs)
-    if t < 2:
-        return []
-    rpos = np.zeros((n, t), dtype=np.int32)
-    for i in range(n):
-        where = {d: k for k, d in enumerate(reported[i])}
-        for k, d in enumerate(txs):
-            rpos[i, k] = where[d]
-    fwd = np.zeros((t, t), dtype=np.int16)
-    for i in range(n):
-        fwd += rpos[i, :, None] < rpos[i, None, :]
-    dist = np.abs(fwd - fwd.T)
-    hc = np.zeros((t, t), dtype=np.int16)
-    for i in correct:
-        where = {d: k for k, d in enumerate(receive[i])}
-        cpos = np.array([where[d] for d in txs], dtype=np.int32)
-        hc += cpos[:, None] < cpos[None, :]
-    b = np.array([rank[d] for d in txs], dtype=np.int32)
-    majority = hc > hc.T  # honest majority prefers u before v
-    reversed_ = majority & (b[:, None] > b[None, :])
-    table: list[tuple[str, str, int, bool]] = []
-    iu = np.triu_indices(t, k=1)
-    for u, v in zip(*iu):
-        if hc[u, v] == hc[v, u]:
-            continue
-        table.append(
-            (txs[u], txs[v], int(dist[u, v]), bool(reversed_[u, v] or reversed_[v, u]))
-        )
-    return table
+    txs, iu, iv, dist, rev = _dist_arrays(trace, emitted)
+    return [
+        (txs[u], txs[v], d, r)
+        for u, v, d, r in zip(iu.tolist(), iv.tolist(), dist.tolist(), rev.tolist())
+    ]
 
 
 def dist_histogram(trace: RunTrace, emitted: list[FinalOrder]) -> list[DistRow]:
     """Bucket the pair table by Dist in {N mod 2, ..., N} in steps of 2."""
     n = trace.n_replicas()
-    rows = {d: DistRow(d, 0, 0) for d in range(n % 2, n + 1, 2)}
-    for _u, _v, d_val, rev in dist_pair_table(trace, emitted):
-        row = rows.get(d_val)
-        if row is None:
-            continue
-        row.pair_count += 1
-        if rev:
-            row.reversed_count += 1
-    return [rows[k] for k in sorted(rows)]
+    _txs, _iu, _iv, dist, rev = _dist_arrays(trace, emitted)
+    pairs = np.bincount(dist, minlength=n + 1)
+    reversed_ = np.bincount(dist[rev], minlength=n + 1)
+    return [
+        DistRow(d, int(pairs[d]), int(reversed_[d])) for d in range(n % 2, n + 1, 2)
+    ]
 
 
 def certified_pairs(outcome: SerialOutcome, trace: RunTrace) -> set[tuple[str, str]]:

@@ -113,14 +113,6 @@ class SimConfig:
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
 
-    @property
-    def tau(self) -> Fraction:
-        return edge_threshold(self.n, self.f, self.gamma)
-
-    @property
-    def tau_s(self) -> int:
-        return solid_threshold(self.n, self.f)
-
     def to_dict(self) -> dict:
         d = {fld.name: getattr(self, fld.name) for fld in fields(self)}
         d["gamma"] = str(self.gamma)

@@ -1,4 +1,9 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import ceil
+
+import pytest
 
 from batchfair.adversaries import (
     REVERSE_ORDER,
@@ -12,11 +17,12 @@ from batchfair.oracle import (
     check_loi_monotone,
     check_single_graph,
     dist_histogram,
+    reachability_scc,
     serial_reference,
 )
 from batchfair.params import SimConfig
 from batchfair.trace import RunTrace
-from batchfair.types import FinalOrder, tx_digest
+from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest
 
 
 def d(name) -> str:
@@ -125,8 +131,9 @@ def test_single_graph_pass_and_planted_duplicate():
 # -- check_loi_monotone ----------------------------------------------------------------
 
 
-def test_loi_monotone_detects_planted_inversion():
-    trace = RunTrace(meta={"config": {"n": 1, "f": 0, "gamma": "1"}, "faults": []})
+def inverted_loi_trace(faults) -> RunTrace:
+    """One replica whose committed stream goes LOI 5, then 0, 1."""
+    trace = RunTrace(meta={"config": {"n": 1, "f": 0, "gamma": "1"}, "faults": faults})
     trace.append(
         {"ev": "vertex_created", "t": 0, "replica": 0, "round": 1, "vid": "r0001a000",
          "parents": [], "entries": [["d", d("x"), 0], ["d", d("y"), 1]], "votes": []}
@@ -139,6 +146,18 @@ def test_loi_monotone_detects_planted_inversion():
                   "leader": "r0002a000", "vertices": ["r0002a000"]})
     trace.append({"ev": "subdag_committed", "t": 3, "replica": None, "r": 2, "wave": 2,
                   "leader": "r0001a000", "vertices": ["r0001a000"]})
+    return trace
+
+
+def test_loi_monotone_detects_planted_inversion():
+    ok, bad = check_loi_monotone(inverted_loi_trace([]))
+    assert not ok and bad["replica"] == 0 and bad["loi"] == 0
+
+
+def test_loi_monotone_walks_crashed_replica_prefix():
+    # a crash-faulted replica is honest until it stops: its prefix is walked too
+    trace = inverted_loi_trace([{"replica": 0, "strategy": "silent_crash", "round": 9}])
+    assert trace.correct_replicas() == []
     ok, bad = check_loi_monotone(trace)
     assert not ok and bad["replica"] == 0 and bad["loi"] == 0
 
@@ -307,3 +326,163 @@ def test_directional_safety_under_reversing_adversary():
         if ev.vote_tally is not None:
             assert ev.vote_tally[wrong] < tau_i
     assert checked > 100  # the run must actually exercise the property
+
+
+# -- reachability SCCs against networkx ---------------------------------------------------
+
+
+def test_reachability_scc_matches_networkx_condensation():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for trial in range(40):
+        size = rng.randint(1, 40)
+        # even trials are tournaments; odd ones leave pairs without an edge
+        p_missing = 0.0 if trial % 2 == 0 else rng.choice([0.2, 0.5, 0.9])
+        nodes = sorted(d(f"g{trial}.{i}") for i in range(size))
+        edges = set()
+        for u, v in combinations(nodes, 2):
+            if rng.random() >= p_missing:
+                edges.add((u, v) if rng.random() < 0.5 else (v, u))
+        g = nx.DiGraph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from(edges)
+        cond = nx.condensation(g)
+        members = {c: sorted(cond.nodes[c]["members"]) for c in cond}
+        expected = [
+            members[c]
+            for c in nx.lexicographical_topological_sort(cond, key=lambda c: members[c][0])
+        ]
+        assert reachability_scc(nodes, edges) == expected
+
+
+# -- pair evidence against a brute-force pair count ------------------------------------------
+
+
+def brute_force_evidence(records, n, f, gamma, graphed_in, stopped_at):
+    """Per-pair (w_uv, w_vu) observations and vote tallies, recounted pair by
+    pair with itertools.combinations. Follows the retained sets the outcome
+    reports (graphed_in) and stops where it stopped."""
+    tau_i = int(ceil(Fraction(n) * (1 - Fraction(gamma)) + f + 1))
+    votes_for: dict[int, dict[int, tuple]] = {}
+    for rec in records:
+        for vote in rec.votes():
+            votes_for.setdefault(vote.target_r, {}).setdefault(vote.author, vote.edges)
+    pending: dict[int, list[str]] = {}
+    seen: dict[int, set[str]] = {}
+    proposed: set[str] = set()
+    weights: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    tallies: dict[tuple[str, str], tuple[int, int]] = {}
+    for rec in records:
+        for vr in rec.vertices:
+            s = seen.setdefault(vr.author, set())
+            for digest, _loi in vr.entries:
+                if digest not in proposed and digest not in s:
+                    s.add(digest)
+                    pending.setdefault(vr.author, []).append(digest)
+        support: dict[str, int] = {}
+        for lst in pending.values():
+            for dg in lst:
+                support[dg] = support.get(dg, 0) + 1
+        admitted = sorted(dg for dg, c in support.items() if c >= tau_i)
+        count: dict[tuple[str, str], int] = {}
+        for lst in pending.values():
+            for pair in combinations([dg for dg in lst if dg in admitted], 2):
+                count[pair] = count.get(pair, 0) + 1
+        retained = {dg for dg, r in graphed_in.items() if r == rec.r}
+        missing = []
+        for u, v in combinations(admitted, 2):
+            wuv, wvu = count.get((u, v), 0), count.get((v, u), 0)
+            weights.setdefault((u, v), []).append((wuv, wvu))
+            if wuv < tau_i and wvu < tau_i and u in retained and v in retained:
+                missing.append((u, v))
+        if rec.r == stopped_at:
+            break
+        if missing:
+            cast = list(votes_for[rec.r].values())
+            for k in range(n - f, len(cast) + 1):
+                tally = {
+                    (u, v): (
+                        sum(edges.count((u, v)) for edges in cast[:k]),
+                        sum(edges.count((v, u)) for edges in cast[:k]),
+                    )
+                    for u, v in missing
+                }
+                if all(max(t) >= tau_i for t in tally.values()):
+                    tallies.update(tally)
+                    break
+        proposed |= retained
+        for author in pending:
+            pending[author] = [dg for dg in pending[author] if dg not in retained]
+    return weights, tallies
+
+
+def assert_evidence_matches_brute_force(records, n, f, gamma):
+    outcome = serial_reference(records, n, f, gamma)
+    weights, tallies = brute_force_evidence(
+        records, n, f, gamma, outcome.graphed_in, outcome.stopped_at
+    )
+    got = {pair: (ev.weights, ev.vote_tally) for pair, ev in outcome.evidence.items()}
+    assert got == {pair: (w, tallies.get(pair)) for pair, w in weights.items()}
+    return outcome
+
+
+def random_records(rng, n, subdags, names):
+    """Each author reports a random subset of names in random order per
+    subdag, and votes on the previous subdag with every pair of names in a
+    random direction, sometimes repeating an edge."""
+    records = []
+    for r in range(1, subdags + 1):
+        vertices = []
+        for author in range(n):
+            picked = rng.sample(names, rng.randint(0, len(names)))
+            edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(names, 2)]
+            if edges and rng.random() < 0.3:
+                edges.append(rng.choice(edges))
+            votes = (FairUpdateVote(author, r - 1, tuple(edges)),) if r > 1 else ()
+            vertices.append(VertexRecord(
+                author, r, f"r{r:04d}a{author:03d}",
+                tuple((dg, k) for k, dg in enumerate(picked)), votes,
+            ))
+        records.append(CommitRecord(r, vertices[0].vid, tuple(vertices)))
+    return records
+
+
+@pytest.mark.parametrize("n, f, gamma", [(5, 1, 1), (7, 1, "0.8")])
+def test_evidence_matches_brute_force_on_random_pending_lists(n, f, gamma):
+    rng = random.Random(n)
+    names = [d(f"w{i}") for i in range(9)]
+    resolved = 0
+    for _ in range(25):
+        records = random_records(rng, n, rng.randint(1, 4), names)
+        outcome = assert_evidence_matches_brute_force(records, n, f, gamma)
+        resolved += len(outcome.vote_tallies)
+    assert resolved  # the vote replay ran
+
+
+@pytest.mark.parametrize(
+    "name, variant", [("crash_n13", {}), ("reversing_fig8", {"f_actual": 5})]
+)
+def test_evidence_matches_brute_force_on_shipped_scenarios(name, variant):
+    from batchfair.scenarios import build_scenario
+
+    sc = build_scenario(name, **variant)
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    cfg = sc.config
+    outcome = assert_evidence_matches_brute_force(res.records, cfg.n, cfg.f, cfg.gamma)
+    if name == "crash_n13":
+        assert outcome.vote_tallies  # parked subdags resolved through votes
+
+
+def test_execute_scenario_never_builds_pair_evidence(monkeypatch):
+    from batchfair import harness
+    from batchfair.scenarios import build_scenario
+
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(serial_reference(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(harness, "serial_reference", recording)
+    harness.execute_scenario(build_scenario("condorcet_minimal"), serial=True)
+    assert len(outcomes) == 1 and "evidence" not in vars(outcomes[0])

@@ -51,7 +51,9 @@ def test_thresholds():
 
 def test_simconfig_validation():
     cfg = SimConfig(n=5, f=1, gamma=1, seed=3)
-    assert cfg.quorum == 4 and cfg.tau == 2 and cfg.tau_s == 3
+    assert cfg.quorum == 4
+    assert edge_threshold(cfg.n, cfg.f, cfg.gamma) == 2
+    assert solid_threshold(cfg.n, cfg.f) == 3
     with pytest.raises(ConfigError):
         SimConfig(n=5, f=1, gamma=1, wave_len=1)
     with pytest.raises(ConfigError):

@@ -159,15 +159,23 @@ def test_profiles_cover_every_subdag():
 
 def test_serial_and_concurrent_phase_totals_close(pool):
     # same computation, different scheduling: per-phase totals line up within
-    # a generous noise factor
+    # a generous noise factor. A total is about a millisecond, so one
+    # preemption can push a single replay out of the band: each side keeps
+    # its minimum over three replays, alternating which side runs first.
     res, cfg = simulate(seed=42, txs=120, rounds=26)
-    serial = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay(res.records)
-    conc = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay_concurrent(
-        res.records, slots=2, pool=pool
-    )
-    for key in ("weights_ns", "scc_ns"):
-        a = sum(p[key] for p in serial.profiles)
-        b = sum(p[key] for p in conc.profiles)
+    keys = ("weights_ns", "scc_ns")
+    totals: dict[str, list[dict]] = {"serial": [], "concurrent": []}
+    for i in range(3):
+        for side in ("serial", "concurrent")[:: 1 if i % 2 == 0 else -1]:
+            pipe = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
+            if side == "serial":
+                out = pipe.replay(res.records)
+            else:
+                out = pipe.replay_concurrent(res.records, slots=2, pool=pool)
+            totals[side].append({k: sum(p[k] for p in out.profiles) for k in keys})
+    for key in keys:
+        a = min(t[key] for t in totals["serial"])
+        b = min(t[key] for t in totals["concurrent"])
         assert a > 0 and b > 0
         assert 1 / 4 < a / b < 4
 

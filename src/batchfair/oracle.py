@@ -5,9 +5,12 @@ pipeline modules. The serial reference counts weights from per-author rank
 arrays over each subdag's sorted admitted set (one boolean outer comparison
 per author, no pair objects), finds SCCs from a Warshall reachability
 closure over a boolean adjacency matrix, and replays votes from the recorded
-stream with per-author edge counts. Pair evidence is built from the kept
-weight matrices only when asked for. The fairness and Dist checkers compare
-per-replica position arrays. Only the domain types are shared.
+stream with per-author edge counts. Pair evidence and the per-pair vote
+tallies are built from the kept arrays only when asked for. The fairness and
+Dist checkers compare per-replica position arrays, and the LOI checker walks
+per-replica LOI lists. The checks keep few GC-tracked objects alive, so
+they rarely start a collection, which would scan the whole run's trace. Only
+the domain types are shared.
 """
 
 from __future__ import annotations
@@ -92,8 +95,19 @@ class SerialOutcome:
     # per processed subdag: its sorted admitted digests and their weight
     # matrix, W[u, v] = number of authors reporting both with u first
     weights: list[tuple[list[str], np.ndarray]]
-    vote_tallies: dict[tuple[str, str], tuple[int, int]]  # resolved pair -> (a, b)
+    # per subdag resolved by votes: its retained digests, the missing pairs
+    # as index arrays (u < v) and their (u->v, v->u) vote tallies
+    votes: list[tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     vote_mismatches: list[dict]
+
+    @cached_property
+    def vote_tallies(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """Resolved pair -> its (u->v, v->u) vote tally. Built on first access."""
+        return {
+            (retained[u], retained[v]): (x, y)
+            for retained, mu, mv, a, b in self.votes
+            for u, v, x, y in zip(mu.tolist(), mv.tolist(), a.tolist(), b.tolist())
+        }
 
     @cached_property
     def evidence(self) -> dict[tuple[str, str], PairEvidence]:
@@ -172,7 +186,7 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
     orders: list[FinalOrder] = []
     graphed_in: dict[str, int] = {}
     weights: list[tuple[list[str], np.ndarray]] = []
-    tallies: dict[tuple[str, str], tuple[int, int]] = {}
+    votes: list[tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     mismatches: list[dict] = []
     stopped = None
 
@@ -227,8 +241,7 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
                 stopped = rec.r
                 break
             a, b = resolved
-            for pair, x, y in zip(live_missing, a.tolist(), b.tolist()):
-                tallies[pair] = (x, y)
+            votes.append((retained, mu, mv, a, b))
             forward = a >= b
             kept_adj[mu[forward], mv[forward]] = True
             kept_adj[mv[~forward], mu[~forward]] = True
@@ -245,7 +258,7 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
             digests.extend(retained[i] for i in scc.tolist())
             batches.append((start, len(digests)))
         orders.append(FinalOrder(rec.r, tuple(digests), tuple(batches)))
-    return SerialOutcome(orders, stopped, graphed_in, weights, tallies, mismatches)
+    return SerialOutcome(orders, stopped, graphed_in, weights, votes, mismatches)
 
 
 # -- gamma-batch-order-fairness checker -----------------------------------------
@@ -343,13 +356,13 @@ def check_single_graph(trace: RunTrace) -> tuple[bool, str | None]:
 
 
 def _first_descent(
-    committed: dict[int, list[tuple[str, int]]], replicas
+    committed: dict[int, tuple[list[str], list[int]]], replicas
 ) -> dict | None:
     """The first entry, replica by replica, whose LOI does not exceed the
     one before it in that replica's committed stream."""
     for replica in replicas:
         last = -1
-        for digest, loi in committed[replica]:
+        for digest, loi in zip(*committed[replica]):
             if loi <= last:
                 return {"replica": replica, "tx": digest, "loi": loi, "prev": last}
             last = loi

@@ -127,20 +127,25 @@ class RunTrace:
                 )
         return out
 
-    def committed_lois(self) -> dict[int, list[tuple[str, int]]]:
-        """Per replica, (digest, loi) entries of committed vertices in commit order."""
+    def committed_lois(self) -> dict[int, tuple[list[str], list[int]]]:
+        """Per replica, the digests and LOIs of its committed vertices'
+        entries in commit order, as two parallel lists (no object per entry)."""
         verts: dict[str, dict] = {}
         for e in self.events:
             if e["ev"] == "vertex_created":
                 verts[e["vid"]] = e
-        out: dict[int, list[tuple[str, int]]] = {i: [] for i in range(self.n_replicas())}
+        out: dict[int, tuple[list[str], list[int]]] = {
+            i: ([], []) for i in range(self.n_replicas())
+        }
         for e in self.events:
             if e["ev"] != "subdag_committed":
                 continue
             for vid in e["vertices"]:
                 ve = verts[vid]
+                digests, lois = out[ve["replica"]]
                 for _k, d, loi in ve["entries"]:
-                    out[ve["replica"]].append((d, loi))
+                    digests.append(d)
+                    lois.append(loi)
         return out
 
     def retained_sets(self) -> list[tuple[int, list[str]]]:

@@ -151,7 +151,7 @@ def inverted_loi_trace(faults) -> RunTrace:
 
 def test_loi_monotone_detects_planted_inversion():
     ok, bad = check_loi_monotone(inverted_loi_trace([]))
-    assert not ok and bad["replica"] == 0 and bad["loi"] == 0
+    assert not ok and bad == {"replica": 0, "tx": d("x"), "loi": 0, "prev": 5}
 
 
 def test_loi_monotone_walks_crashed_replica_prefix():
@@ -159,7 +159,7 @@ def test_loi_monotone_walks_crashed_replica_prefix():
     trace = inverted_loi_trace([{"replica": 0, "strategy": "silent_crash", "round": 9}])
     assert trace.correct_replicas() == []
     ok, bad = check_loi_monotone(trace)
-    assert not ok and bad["replica"] == 0 and bad["loi"] == 0
+    assert not ok and bad == {"replica": 0, "tx": d("x"), "loi": 0, "prev": 5}
 
 
 # -- dist histogram ---------------------------------------------------------------------
@@ -474,6 +474,8 @@ def test_evidence_matches_brute_force_on_shipped_scenarios(name, variant):
 
 
 def test_execute_scenario_never_builds_pair_evidence(monkeypatch):
+    # neither the pair evidence nor the per-pair vote tallies: a run's checks
+    # keep no object per pair alive
     from batchfair import harness
     from batchfair.scenarios import build_scenario
 
@@ -485,4 +487,5 @@ def test_execute_scenario_never_builds_pair_evidence(monkeypatch):
 
     monkeypatch.setattr(harness, "serial_reference", recording)
     harness.execute_scenario(build_scenario("condorcet_minimal"), serial=True)
-    assert len(outcomes) == 1 and "evidence" not in vars(outcomes[0])
+    assert len(outcomes) == 1
+    assert "evidence" not in vars(outcomes[0]) and "vote_tallies" not in vars(outcomes[0])

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .params import ConfigError
+
 SILENT_CRASH = "silent_crash"
 REVERSE_ORDER = "reverse_local_order"
 STRATEGIES = (SILENT_CRASH, REVERSE_ORDER)
@@ -30,10 +32,10 @@ class FaultSchedule:
     def __post_init__(self) -> None:
         for d in self.directives:
             if d.strategy not in STRATEGIES:
-                raise ValueError(f"unknown fault strategy {d.strategy!r}")
+                raise ConfigError(f"unknown fault strategy {d.strategy!r}")
         replicas = [d.replica for d in self.directives]
         if len(replicas) != len(set(replicas)):
-            raise ValueError("at most one fault directive per replica")
+            raise ConfigError("at most one fault directive per replica")
 
     @property
     def f_actual(self) -> int:
@@ -47,7 +49,7 @@ class FaultSchedule:
 
     def check_budget(self, f: int) -> None:
         if self.f_actual > f:
-            raise ValueError(f"{self.f_actual} faulty replicas exceed budget f={f}")
+            raise ConfigError(f"{self.f_actual} faulty replicas exceed budget f={f}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class ClientSchedule:
         for d in sorted(self.directives, key=lambda d: (d.replica, d.seq)):
             prev = per_replica.get(d.replica, 0)
             if d.round < prev:
-                raise ValueError("injection rounds must be non-decreasing per replica")
+                raise ConfigError("injection rounds must be non-decreasing per replica")
             per_replica[d.replica] = d.round
 
     def bodies(self) -> list[str]:

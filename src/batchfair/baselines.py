@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil
 
-from .graph import condensation_order, tarjan_scc
+import numpy as np
+
+from .graph import condensation_order, linearize, tarjan_scc
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -93,12 +95,11 @@ class FairDagModel:
     def _finalize(self, g: WeightGraph, at_subdag: int) -> None:
         nodes = sorted(g.nodes)
         idx = {d: i for i, d in enumerate(nodes)}
-        adj: list[list[int]] = [[] for _ in nodes]
+        adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
         for u, v in g.edges.values():
-            adj[idx[u]].append(idx[v])
-        order: list[str] = []
-        for scc in condensation_order(tarjan_scc(nodes, adj), adj, nodes):
-            order.extend(sorted(nodes[i] for i in scc))
+            adj[idx[u], idx[v]] = True
+        sccs = condensation_order(tarjan_scc(adj), adj)
+        order = list(linearize(g.r, nodes, sccs).digests)
         g.finalized_order = order
         self.finalizations.append((g.r, at_subdag, order))
 

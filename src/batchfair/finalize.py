@@ -95,12 +95,12 @@ def apply_fair_update(store: ParkedStore, r: int, tau, n: int, f: int) -> FinalO
         )
         return None
     idx = {d: i for i, d in enumerate(graph.nodes)}
-    for (u, v), (wuv, wvu) in sorted(chosen.items()):
+    for (u, v), (wuv, wvu) in chosen.items():
         # u < v by construction, so a tie installs the smaller-digest source
         if wuv >= wvu:
-            graph.adj[idx[u]].append(idx[v])
+            graph.adj[idx[u], idx[v]] = True
         else:
-            graph.adj[idx[v]].append(idx[u])
+            graph.adj[idx[v], idx[u]] = True
     graph.missing = []
     order = finalize_order(graph)
     del store.parked[r]
@@ -116,7 +116,7 @@ def finalize_order(graph: DepGraph) -> FinalOrder:
     ordered before linearization.
     """
     assert not graph.missing, "finalize requires all pairs resolved"
-    sccs = condensation_order(tarjan_scc(graph.nodes, graph.adj), graph.adj, graph.nodes)
+    sccs = condensation_order(tarjan_scc(graph.adj), graph.adj)
     return linearize(graph.r, graph.nodes, sccs)
 
 

@@ -1,16 +1,22 @@
 """Per-subdag dependency-graph construction: phases 1-3 of the fairness task.
 
 Phase 1 classifies support and computes the pairwise weight matrix (the
-dominant cost, a pure function of the snapshot). Phase 2 filters the active
-set through the cumulative chain and adds directed edges. Phase 3 decomposes
-into SCCs, truncates past the anchor, and forwards the extended chain. When
-no retained pair is missing, phase 3 also linearizes the retained SCCs into
-the subdag's final order; otherwise it returns the truncated graph, which the
-coordinator (pipeline.py) parks until votes resolve its missing edges.
+dominant cost, a pure function of the snapshot). Phase 2 drops the admitted
+transactions that an earlier subdag already retained (``CumulativeState.proposed``)
+and turns the weights into a k x k boolean adjacency matrix. Phase 3
+decomposes it into SCCs and truncates past the anchor. When no retained pair
+is missing, phase 3 also linearizes the retained SCCs into the subdag's final
+order; otherwise it returns the truncated graph, which the coordinator
+(pipeline.py) parks until votes resolve its missing edges.
+
+Phase 1 is the step a process pool runs, so its output stays a flat
+``array('I')``: it pickles as raw bytes and the workers build no ndarray.
+Phase 2 views it as an m x m matrix without copying. From phase 2 on,
+``DepGraph.adj`` is a boolean ndarray whose vertices ascend by digest.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
-claims recorded synchronously at snapshot extraction, and the cumulative
-chain of retained vertices handed from each task to the next.
+claims recorded synchronously at snapshot extraction, and phase 2's filter
+against everything earlier subdags retained, applied in commit order.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+
+import numpy as np
 
 from .params import edge_threshold, solid_threshold
 from .types import CommitRecord, FinalOrder
@@ -49,25 +57,18 @@ class WeightReport:
     r: int
     admitted: list[str]
     solid: frozenset[str]
-    support: dict[str, int]
     weights: array
-
-    def weight(self, u: str, v: str) -> int:
-        m = len(self.admitted)
-        i, j = self.admitted.index(u), self.admitted.index(v)
-        return self.weights[i * m + j]
 
 
 @dataclass
 class DepGraph:
-    """Dependency graph for one subdag (vertices indexed into ``nodes``)."""
+    """Dependency graph for one subdag: adj[i, j] is the edge nodes[i] -> nodes[j]."""
 
     r: int
     nodes: list[str]  # sorted by digest
-    adj: list[list[int]]
-    missing: list[tuple[str, str]]
-    solids: frozenset[str]
-    prior_chain: frozenset[str]
+    adj: np.ndarray  # k x k bool
+    missing: list[tuple[str, str]]  # (smaller, larger digest), row-major
+    solid: np.ndarray  # bool per node; read by phase 3
 
 
 class CumulativeState:
@@ -100,16 +101,16 @@ class CumulativeState:
 
 def support_classes(
     orders: dict[int, tuple[str, ...]], tau_i: int, tau_s: int
-) -> tuple[dict[str, int], list[str], frozenset[str]]:
-    """Support count per digest, the admitted digests (support >= tau_i,
-    sorted) and the solid ones among them (support >= tau_s)."""
+) -> tuple[list[str], frozenset[str]]:
+    """The admitted digests (support >= tau_i, sorted) and the solid ones
+    among them (support >= tau_s)."""
     support: dict[str, int] = {}
     for author in sorted(orders):
         for d in orders[author]:
             support[d] = support.get(d, 0) + 1
     admitted = sorted(d for d, c in support.items() if c >= tau_i)
     solid = frozenset(d for d in admitted if support[d] >= tau_s)
-    return support, admitted, solid
+    return admitted, solid
 
 
 def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snapshot, frozenset[str]]:
@@ -134,7 +135,7 @@ def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snap
         if plist
     }
     orders = {a: o for a, o in orders.items() if o}
-    claim = support_classes(orders, state.tau_i, state.tau_s)[2]
+    claim = support_classes(orders, state.tau_i, state.tau_s)[1]
     state.claims[record.r] = claim
     return Snapshot(record.r, orders), claim
 
@@ -160,7 +161,7 @@ def phase1_weights(snapshot: Snapshot, n: int, f: int, gamma) -> WeightReport:
 
     Pure function of the snapshot: no shared-state reads, rerunnable.
     """
-    support, admitted, solid = support_classes(
+    admitted, solid = support_classes(
         snapshot.orders, count_threshold(edge_threshold(n, f, gamma)), solid_threshold(n, f)
     )
     idx = {d: k for k, d in enumerate(admitted)}
@@ -172,58 +173,52 @@ def phase1_weights(snapshot: Snapshot, n: int, f: int, gamma) -> WeightReport:
             base = fi[a] * m
             for b in range(a + 1, len(fi)):
                 weights[base + fi[b]] += 1
-    return WeightReport(snapshot.r, admitted, solid, support, weights)
+    return WeightReport(snapshot.r, admitted, solid, weights)
 
 
 # -- Phase 2 ------------------------------------------------------------------
 
 
-def phase2_build_graph(report: WeightReport, prior_chain: frozenset[str], tau) -> DepGraph:
-    """Filter through the cumulative chain, then add edges from cached weights.
+def phase2_build_graph(report: WeightReport, proposed, tau) -> DepGraph:
+    """Drop what earlier subdags retained, then add edges from cached weights.
 
-    An edge is installed toward the direction whose cached weight reaches tau;
-    at an exact tie the smaller digest is the source. Pairs below tau in both
-    directions become missing edges.
+    ``proposed`` is ``CumulativeState.proposed``, every digest retained by an
+    earlier subdag. An edge is installed toward the direction whose cached
+    weight reaches tau; at an exact tie the smaller digest (the smaller
+    index) is the source. Pairs below tau in both directions become missing
+    edges, listed row-major.
     """
     tau_i = count_threshold(tau)
-    keep = [d for d in report.admitted if d not in prior_chain]
-    idx_of = {d: k for k, d in enumerate(report.admitted)}
-    oi = [idx_of[d] for d in keep]
     m = len(report.admitted)
-    w = report.weights
-    k = len(keep)
-    adj: list[list[int]] = [[] for _ in range(k)]
-    missing: list[tuple[str, str]] = []
-    for a in range(k):
-        ia = oi[a]
-        row = ia * m
-        for b in range(a + 1, k):
-            ib = oi[b]
-            wab = w[row + ib]
-            wba = w[ib * m + ia]
-            if wab >= tau_i or wba >= tau_i:
-                # keep[a] < keep[b] by digest, so a tie resolves toward the
-                # smaller digest regardless of evaluation order
-                if wab >= wba:
-                    adj[a].append(b)
-                else:
-                    adj[b].append(a)
-            else:
-                missing.append((keep[a], keep[b]))
-    solids = frozenset(d for d in keep if d in report.solid)
-    return DepGraph(report.r, keep, adj, missing, solids, prior_chain)
+    kept = [i for i, d in enumerate(report.admitted) if d not in proposed]
+    nodes = [report.admitted[i] for i in kept]
+    w = np.asarray(report.weights).reshape(m, m)[np.ix_(kept, kept)]
+    decided = (w >= tau_i) | (w.T >= tau_i)
+    adj = decided & ((w > w.T) | np.triu(w == w.T, 1))
+    rows, cols = np.nonzero(np.triu(~decided, 1))
+    missing = [(nodes[a], nodes[b]) for a, b in zip(rows.tolist(), cols.tolist())]
+    solid = np.array([d in report.solid for d in nodes], dtype=bool)
+    return DepGraph(report.r, nodes, adj, missing, solid)
 
 
 # -- SCC machinery -------------------------------------------------------------
 
 
-def tarjan_scc(nodes: list[str], adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs (index lists) in a valid topological order.
+def _successors(adj: np.ndarray) -> list[list[int]]:
+    """Out-neighbour lists of a boolean adjacency matrix, each ascending."""
+    cols = (np.flatnonzero(adj) % len(adj)).tolist()
+    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
+    return [cols[s:e] for s, e in zip([0, *ends], ends)]
 
-    Deterministic given the vertex order of ``nodes`` (callers pass digests
-    ascending).
+
+def tarjan_scc(adj: np.ndarray) -> list[list[int]]:
+    """Iterative Tarjan; returns SCCs (sorted index lists) in a valid
+    topological order.
+
+    Deterministic: roots and successors are visited in index order.
     """
-    n = len(nodes)
+    succ = _successors(adj)
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -242,7 +237,7 @@ def tarjan_scc(nodes: list[str], adj: list[list[int]]) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            neighbors = adj[v]
+            neighbors = succ[v]
             for i in range(pi, len(neighbors)):
                 w = neighbors[i]
                 if index[w] == -1:
@@ -273,38 +268,34 @@ def tarjan_scc(nodes: list[str], adj: list[list[int]]) -> list[list[int]]:
     return sccs
 
 
-def condensation_order(
-    sccs: list[list[int]], adj: list[list[int]], nodes: list[str]
-) -> list[list[int]]:
+def condensation_order(sccs: list[list[int]], adj: np.ndarray) -> list[list[int]]:
     """Canonical topological order of the condensation.
 
-    Kahn's algorithm, ties broken by smallest member digest. The anchor
+    Kahn's algorithm, ties broken by the smallest member index, which is the
+    smallest member digest because vertices ascend by digest. The anchor
     truncation rule depends on which valid topological order is used, so this
     canonical rule is part of the protocol, not an implementation detail.
     """
     import heapq
 
-    scc_of = {}
-    for k_, scc in enumerate(sccs):
-        for v in scc:
-            scc_of[v] = k_
-    out_edges: list[set[int]] = [set() for _ in sccs]
-    indeg = [0] * len(sccs)
-    for v in range(len(nodes)):
-        a = scc_of[v]
-        for w in adj[v]:
-            b = scc_of[w]
-            if a != b and b not in out_edges[a]:
-                out_edges[a].add(b)
-                indeg[b] += 1
-    keys = [min(nodes[v] for v in scc) for scc in sccs]
+    if not sccs:
+        return []
+    # group rows and columns by SCC, then OR each block into one DAG cell
+    members = [v for scc in sccs for v in scc]
+    starts = np.cumsum([0, *(len(scc) for scc in sccs[:-1])])
+    dag = np.logical_or.reduceat(adj[np.ix_(members, members)], starts, axis=0)
+    dag = np.logical_or.reduceat(dag, starts, axis=1)
+    np.fill_diagonal(dag, False)
+    out_edges = _successors(dag)
+    indeg = np.count_nonzero(dag, axis=0).tolist()
+    keys = [min(scc) for scc in sccs]
     ready = [(keys[i], i) for i in range(len(sccs)) if indeg[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         _, i = heapq.heappop(ready)
         order.append(i)
-        for b in sorted(out_edges[i]):
+        for b in out_edges[i]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 heapq.heappush(ready, (keys[b], b))
@@ -327,40 +318,31 @@ def linearize(r: int, nodes: list[str], sccs: list[list[int]]) -> FinalOrder:
 # -- Phase 3 ------------------------------------------------------------------
 
 
-def phase3_anchor(
-    graph: DepGraph,
-) -> tuple[FinalOrder | DepGraph, int, list[str], frozenset[str]]:
-    """SCC decomposition, anchor truncation, and chain forwarding.
+def phase3_anchor(graph: DepGraph) -> tuple[FinalOrder | DepGraph, int, list[str]]:
+    """SCC decomposition and anchor truncation.
 
     The anchor is the last SCC (canonical condensation order) containing a
     solid vertex; everything after it returns to pending. With no solid vertex
-    nothing is retained and the chain passes through unchanged.
+    nothing is retained.
 
     Returns the subdag's FinalOrder when no retained pair is missing (the
     retained SCCs are a predecessor-closed prefix of the canonical order, so
     they already are the truncated graph's final order), else the truncated
-    graph to park.
+    graph to park; then the anchor and the retained digests.
     """
-    sccs = condensation_order(tarjan_scc(graph.nodes, graph.adj), graph.adj, graph.nodes)
-    solid_idx = {i for i, d in enumerate(graph.nodes) if d in graph.solids}
+    sccs = condensation_order(tarjan_scc(graph.adj), graph.adj)
+    solid = graph.solid.tolist()
     anchor = 0
     for j, scc in enumerate(sccs, 1):
-        if any(v in solid_idx for v in scc):
+        if any(solid[v] for v in scc):
             anchor = j
     retained = sorted(v for scc in sccs[:anchor] for v in scc)
     nodes = [graph.nodes[v] for v in retained]
     kept_set = set(nodes)
-    token = frozenset(graph.prior_chain | kept_set)
     missing = [(u, v) for u, v in graph.missing if u in kept_set and v in kept_set]
     if not missing:
-        return linearize(graph.r, graph.nodes, sccs[:anchor]), anchor, nodes, token
-    remap = {v: i for i, v in enumerate(retained)}
-    adj = [
-        sorted(remap[w] for w in graph.adj[v] if w in remap) for v in retained
-    ]
+        return linearize(graph.r, graph.nodes, sccs[:anchor]), anchor, nodes
     truncated = DepGraph(
-        graph.r, nodes, adj, missing,
-        frozenset(d for d in graph.solids if d in kept_set),
-        graph.prior_chain,
+        graph.r, nodes, graph.adj[np.ix_(retained, retained)], missing, graph.solid[retained]
     )
-    return truncated, anchor, nodes, token
+    return truncated, anchor, nodes

@@ -469,26 +469,42 @@ def sweep(grid: dict, seeds: list[int], out_path: str | Path | None = None) -> l
 # -- JSON scenario files --------------------------------------------------------------
 
 
+def _entry(where: str, entry, required: tuple, optional: tuple = ()) -> dict:
+    """One object of a scenario file; a non-object, a missing key or an
+    unknown key raises ConfigError naming ``where``."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where}: expected an object, got {entry!r}")
+    missing = [k for k in required if k not in entry]
+    unknown = sorted(set(entry) - {*required, *optional})
+    if missing or unknown:
+        raise ConfigError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return entry
+
+
 def load_scenario_file(path: str | Path) -> Scenario:
-    """Build a scenario from a JSON config document."""
+    """Build a scenario from a JSON config document; malformed input raises
+    ConfigError naming the bad key or entry."""
     with open(path) as fh:
         doc = json.load(fh)
-    faults = FaultSchedule(
-        [
-            FaultDirective(d["replica"], d["strategy"], d["round"])
-            for d in doc.pop("faults", [])
-        ]
-    )
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a scenario file holds one JSON object, got {doc!r}")
+    faults = FaultSchedule([
+        FaultDirective(**_entry(f"faults[{i}]", d, ("replica", "strategy", "round")))
+        for i, d in enumerate(doc.pop("faults", []))
+    ])
     spikes = [
-        DelaySpike(s["replica"], s["round"], s["extra"], s.get("scope", "vertex"))
-        for s in doc.pop("spikes", [])
+        DelaySpike(**_entry(f"spikes[{i}]", s, ("replica", "round", "extra"), ("scope",)))
+        for i, s in enumerate(doc.pop("spikes", []))
     ]
     cspec = doc.pop("clients", None)
     name = doc.pop("name", Path(path).stem)
     cfg = SimConfig.from_dict(doc)
+    # a non-object takes the uniform branch, whose check names it
+    kind = cspec.get("kind", "uniform") if isinstance(cspec, dict) else "uniform"
     if cspec is None:
         clients = ClientSchedule()
-    elif cspec.get("kind", "uniform") == "uniform":
+    elif kind == "uniform":
+        _entry("clients", cspec, ("txs",), ("kind", "start_round", "end_round", "skew_p"))
         clients = uniform_load(
             cfg.n,
             cspec["txs"],
@@ -497,8 +513,14 @@ def load_scenario_file(path: str | Path) -> Scenario:
             seed=cfg.seed,
             skew_p=cspec.get("skew_p", 0.0),
         )
+    elif kind == "items":
+        items = _entry("clients", cspec, ("kind", "items"))["items"]
+        for i, item in enumerate(items):
+            if not isinstance(item, list) or len(item) != 4:
+                raise ConfigError(
+                    f"clients.items[{i}]: expected [body, replica, round, seq], got {item!r}"
+                )
+        clients = ClientSchedule([ClientDirective(*item) for item in items])
     else:
-        clients = ClientSchedule(
-            [ClientDirective(*item) for item in cspec["items"]]
-        )
+        raise ConfigError(f"clients.kind: unknown kind {kind!r}, expected 'uniform' or 'items'")
     return Scenario(name, cfg, faults=faults, clients=clients, spikes=spikes)

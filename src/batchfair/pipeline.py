@@ -1,11 +1,11 @@
-"""Fairness-pipeline coordinator: per-subdag phases, chain handoff, Emit gate.
+"""Fairness-pipeline coordinator: per-subdag phases and the Emit gate.
 
 Phase 1 (the weight matrix) is a pure function of a subdag's snapshot and is
-the only step that can run apart from the others. Phases 2-3 thread the
-cumulative chain token from each subdag to the next, and Emit drains in
-commit order, so everything after phase 1 runs on the coordinator, one
-subdag at a time, in commit order. Both drivers share that landing step,
-``_land``, and the vote-routing step:
+the only step that can run apart from the others. Phase 2 filters against
+``CumulativeState.proposed``, which holds what every earlier subdag
+retained, and Emit drains in commit order, so everything after phase 1 runs
+on the coordinator, one subdag at a time, in commit order. Both drivers
+share that landing step, ``_land``, and the vote-routing step:
 
 * event/serial mode (``on_commit``, ``replay``): each committed subdag runs
   phase 1 inline and lands at once (this is also how the simulator drives
@@ -18,8 +18,9 @@ Both modes produce bit-identical emitted orders; only wall-clock differs.
 The vote tally scans author prefixes from n-f upward and keeps the minimal
 sufficient prefix, so the outcome does not depend on how many extra votes
 happen to be buffered when a tally runs. A process pool (not threads) does
-the parallel work because the phase kernels are pure Python and the GIL
-serializes threads.
+the parallel work because the phase-1 kernel is pure Python and the GIL
+serializes threads; its result stays a flat ``array('I')``, so the workers
+never build an ndarray and the result pickles as raw bytes.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class FairnessPipeline:
         self.tau = edge_threshold(n, f, gamma)
         self.state = CumulativeState(n, f, gamma)
         self.store = ParkedStore()
-        self.chain: frozenset[str] = frozenset()
         self.profiles: list[dict] = []
         self.trace_cb = trace_cb
         self.fairpropose_cb = fairpropose_cb
@@ -120,9 +120,9 @@ class FairnessPipeline:
     def _land(self, r: int, extract_ns: int, report: WeightReport, weights_ns: int) -> None:
         """Phases 2-4, FairPropose, the tally and Emit for one subdag, in commit order."""
         t0 = perf_counter_ns()
-        graph = phase2_build_graph(report, self.chain, self.tau)
+        graph = phase2_build_graph(report, self.state.proposed, self.tau)
         t1 = perf_counter_ns()
-        outcome, anchor, k_digests, self.chain = phase3_anchor(graph)
+        outcome, anchor, k_digests = phase3_anchor(graph)
         t2 = perf_counter_ns()
         apply_result(self.state, r, k_digests)
         t3 = perf_counter_ns()

@@ -57,14 +57,6 @@ class Batch:
     entries: tuple[Entry, ...]
     votes: tuple[FairUpdateVote, ...] = ()
 
-    @property
-    def direct_entries(self) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if e.kind == DIRECT)
-
-    @property
-    def indirect_entries(self) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if e.kind == INDIRECT)
-
 
 def vertex_id(round_: int, author: int) -> str:
     return f"r{round_:04d}a{author:03d}"

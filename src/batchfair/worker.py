@@ -57,7 +57,6 @@ class WorkerState:
         self.replica = replica
         self.reverse_order = reverse_order
         self.tracker = LoiTracker()
-        self.receive_log: list[str] = []  # true first-observation order
         self.edge_store = PendingEdgeStore()
         self.entry_queue: list[Entry] = []  # direct + indirect awaiting seal
         self.vote_queue: list[FairUpdateVote] = []
@@ -70,7 +69,6 @@ class WorkerState:
         """A client submitted a transaction body directly to this replica."""
         loi, fresh = self.tracker.record(digest)
         if fresh:
-            self.receive_log.append(digest)
             self.entry_queue.append(Entry(DIRECT, digest, loi, body))
             self._rescan_pending(digest)
         return loi
@@ -83,7 +81,6 @@ class WorkerState:
         """
         loi, fresh = self.tracker.record(digest)
         if fresh:
-            self.receive_log.append(digest)
             self.entry_queue.append(Entry(INDIRECT, digest, loi))
             self._rescan_pending(digest)
         return loi

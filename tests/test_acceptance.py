@@ -213,10 +213,15 @@ def test_criterion_7_condorcet_cycle_single_batch():
         Snapshot(1, {k: tuple(v) for k, v in snap_orders.items()}),
         3, 0, Fraction(2, 3),
     )
+    m = len(report.admitted)
+
+    def weight(u, v):
+        return report.weights[report.admitted.index(u) * m + report.admitted.index(v)]
+
     weights_ok = (
-        (report.weight(a, b), report.weight(b, a)) == (2, 1)
-        and (report.weight(b, c), report.weight(c, b)) == (2, 1)
-        and (report.weight(c, a), report.weight(a, c)) == (2, 1)
+        (weight(a, b), weight(b, a)) == (2, 1)
+        and (weight(b, c), weight(c, b)) == (2, 1)
+        and (weight(c, a), weight(a, c)) == (2, 1)
     )
     ok = one_batch and weights_ok and all(rep.verdicts.values())
     assert _report(

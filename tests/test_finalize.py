@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from batchfair.finalize import (
@@ -19,6 +20,13 @@ def d(name) -> str:
     return tx_digest(str(name))
 
 
+def matrix(size: int, edges) -> np.ndarray:
+    adj = np.zeros((size, size), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return adj
+
+
 def vote_record(r: int, votes: list[FairUpdateVote]) -> CommitRecord:
     vr = VertexRecord(0, r, f"r{r:04d}a000", (), tuple(votes))
     return CommitRecord(r, vr.vid, (vr,))
@@ -26,7 +34,7 @@ def vote_record(r: int, votes: list[FairUpdateVote]) -> CommitRecord:
 
 def parked_pair_graph(r: int = 3):
     u, v = sorted((d("u"), d("v")))
-    g = DepGraph(r, [u, v], [[], []], [(u, v)], frozenset({u, v}), frozenset())
+    g = DepGraph(r, [u, v], matrix(2, []), [(u, v)], np.ones(2, dtype=bool))
     return g, u, v
 
 
@@ -137,7 +145,7 @@ def test_apply_requires_parked():
 def test_finalize_linear_chain_topological():
     names = sorted([d("x"), d("y"), d("z")])
     # build x -> y -> z in digest order for a deterministic expectation
-    g = DepGraph(1, names, [[1], [2], []], [], frozenset(names), frozenset())
+    g = DepGraph(1, names, matrix(3, [(0, 1), (1, 2)]), [], np.ones(3, dtype=bool))
     order = finalize_order(g)
     assert order.digests == tuple(names)
     assert order.batches == ((0, 1), (1, 2), (2, 3))
@@ -145,7 +153,7 @@ def test_finalize_linear_chain_topological():
 
 def test_finalize_condorcet_single_contiguous_batch():
     names = sorted([d("a"), d("b"), d("c")])
-    g = DepGraph(1, names, [[1], [2], [0]], [], frozenset(names), frozenset())
+    g = DepGraph(1, names, matrix(3, [(0, 1), (1, 2), (2, 0)]), [], np.ones(3, dtype=bool))
     order = finalize_order(g)
     assert order.batches == ((0, 3),)
     assert order.digests == tuple(names)  # digest-sorted inside the batch
@@ -156,17 +164,17 @@ def test_finalize_random_tournament_matches_condensation_oracle():
 
     rng = random.Random(30)
     nodes = sorted(d(f"t{i}") for i in range(30))
-    adj = [[] for _ in nodes]
+    adj = np.zeros((30, 30), dtype=bool)
     edges = set()
     for i in range(30):
         for j in range(i + 1, 30):
             if rng.random() < 0.5:
-                adj[i].append(j)
+                adj[i, j] = True
                 edges.add((nodes[i], nodes[j]))
             else:
-                adj[j].append(i)
+                adj[j, i] = True
                 edges.add((nodes[j], nodes[i]))
-    order = finalize_order(DepGraph(1, nodes, adj, [], frozenset(), frozenset()))
+    order = finalize_order(DepGraph(1, nodes, adj, [], np.zeros(30, dtype=bool)))
     expected = []
     for scc in reachability_scc(nodes, edges):
         expected.extend(sorted(scc))

@@ -1,13 +1,16 @@
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchfair.graph import (
     CumulativeState,
     Snapshot,
+    WeightReport,
     apply_result,
     condensation_order,
     count_threshold,
@@ -41,6 +44,23 @@ def brute_force_support(orders: dict, tx: str) -> int:
     return sum(1 for lst in orders.values() if tx in lst)
 
 
+def weight(rep, u: str, v: str) -> int:
+    """Cached phase-1 weight: orders placing u before v."""
+    m = len(rep.admitted)
+    return rep.weights[rep.admitted.index(u) * m + rep.admitted.index(v)]
+
+
+def edges_of(g) -> set[tuple[str, str]]:
+    return {(g.nodes[u], g.nodes[v]) for u, v in zip(*np.nonzero(g.adj))}
+
+
+def matrix(size: int, edges) -> np.ndarray:
+    adj = np.zeros((size, size), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = True
+    return adj
+
+
 # -- phase 1 -----------------------------------------------------------------------
 
 
@@ -51,15 +71,14 @@ def test_condorcet_weights_and_classes():
     rep = phase1_weights(snap, 3, 0, Fraction(2, 3))
     assert rep.admitted == sorted([a, b, c])
     assert rep.solid == frozenset({a, b, c})
-    assert rep.support == {a: 3, b: 3, c: 3}
-    assert (rep.weight(a, b), rep.weight(b, a)) == (2, 1)
-    assert (rep.weight(b, c), rep.weight(c, b)) == (2, 1)
-    assert (rep.weight(c, a), rep.weight(a, c)) == (2, 1)
+    assert (weight(rep, a, b), weight(rep, b, a)) == (2, 1)
+    assert (weight(rep, b, c), weight(rep, c, b)) == (2, 1)
+    assert (weight(rep, c, a), weight(rep, a, c)) == (2, 1)
 
 
 def test_empty_snapshot_empty_report():
     rep = phase1_weights(Snapshot(1, {}), 5, 1, 1)
-    assert rep.admitted == [] and rep.solid == frozenset() and rep.support == {}
+    assert rep.admitted == [] and rep.solid == frozenset() and len(rep.weights) == 0
 
 
 def test_phase1_matches_brute_force_fixed():
@@ -75,7 +94,7 @@ def test_phase1_matches_brute_force_fixed():
     for t in txs:
         assert (brute_force_support(orders, t) >= tau_i) == (t in rep.admitted)
     for u, v in combinations(rep.admitted, 2):
-        assert (rep.weight(u, v), rep.weight(v, u)) == brute_force_weights(orders, u, v)
+        assert (weight(rep, u, v), weight(rep, v, u)) == brute_force_weights(orders, u, v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,7 +109,7 @@ def test_phase1_matches_brute_force_property(data, n):
     f = (n - 1) // 4
     rep = phase1_weights(Snapshot(1, orders), n, f, 1)
     for u, v in combinations(rep.admitted, 2):
-        assert (rep.weight(u, v), rep.weight(v, u)) == brute_force_weights(orders, u, v)
+        assert (weight(rep, u, v), weight(rep, v, u)) == brute_force_weights(orders, u, v)
     # weight purity: rerunning yields identical results
     again = phase1_weights(Snapshot(1, orders), n, f, 1)
     assert again.weights == rep.weights and again.admitted == rep.admitted
@@ -109,8 +128,7 @@ def test_phase2_condorcet_builds_cycle_no_missing():
     rep, (a, b, c) = _condorcet_report()
     g = phase2_build_graph(rep, frozenset(), edge_threshold(3, 0, Fraction(2, 3)))
     assert g.missing == []
-    edges = {(g.nodes[u], g.nodes[v]) for u in range(3) for v in g.adj[u]}
-    assert edges == {(a, b), (b, c), (c, a)}
+    assert edges_of(g) == {(a, b), (b, c), (c, a)}
 
 
 def test_phase2_below_threshold_pair_is_missing():
@@ -120,7 +138,7 @@ def test_phase2_below_threshold_pair_is_missing():
     rep = phase1_weights(snap, 3, 0, Fraction(2, 3))
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
     assert g.missing == [tuple(sorted((x, y)))]
-    assert all(not out for out in g.adj)
+    assert not g.adj.any()
 
 
 def test_phase2_tie_at_threshold_goes_to_smaller_digest():
@@ -128,41 +146,80 @@ def test_phase2_tie_at_threshold_goes_to_smaller_digest():
     snap = Snapshot(1, {0: (x, y), 1: (x, y), 2: (y, x), 3: (y, x), 4: ()})
     rep = phase1_weights(snap, 5, 1, 1)  # tau = 2; 2/2 tie
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
-    edges = {(g.nodes[u], g.nodes[v]) for u in range(len(g.nodes)) for v in g.adj[u]}
-    assert edges == {(x, y)}
+    assert edges_of(g) == {(x, y)}
 
 
 def test_phase2_chain_filter_removes_before_edges():
     rep, (a, b, c) = _condorcet_report()
     g = phase2_build_graph(rep, frozenset({b}), Fraction(2))
     assert b not in g.nodes
-    edges = {(g.nodes[u], g.nodes[v]) for u in range(len(g.nodes)) for v in g.adj[u]}
-    assert edges == {(c, a)}  # only the a/c pair survives the filter
+    assert edges_of(g) == {(c, a)}  # only the a/c pair survives the filter
+
+
+def scalar_phase2(report, proposed, tau_i: int):
+    """Reference rule: the per-pair loop phase 2 ran before it used masks.
+
+    Returns the kept nodes, the edge set and the missing pairs in loop order.
+    """
+    keep = [x for x in report.admitted if x not in proposed]
+    idx_of = {x: k for k, x in enumerate(report.admitted)}
+    m = len(report.admitted)
+    w = report.weights
+    edges, missing = set(), []
+    for a in range(len(keep)):
+        for b in range(a + 1, len(keep)):
+            ia, ib = idx_of[keep[a]], idx_of[keep[b]]
+            wab, wba = w[ia * m + ib], w[ib * m + ia]
+            if wab >= tau_i or wba >= tau_i:
+                edges.add((keep[a], keep[b]) if wab >= wba else (keep[b], keep[a]))
+            else:
+                missing.append((keep[a], keep[b]))
+    return keep, edges, missing
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(0, 12), tau_i=st.integers(1, 4))
+def test_phase2_masks_match_scalar_pair_rule(data, m, tau_i):
+    admitted = sorted(d(f"w{i}") for i in range(m))
+    weights = array("I", bytes(4 * m * m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            wij = data.draw(st.integers(0, tau_i + 2))
+            # exact ties, at, above and below tau, are what the tie rule decides
+            tie = data.draw(st.booleans())
+            wji = wij if tie else data.draw(st.integers(0, tau_i + 2))
+            weights[i * m + j], weights[j * m + i] = wij, wji
+    picks = st.sets(st.sampled_from(admitted)) if admitted else st.just(set())
+    proposed = frozenset(data.draw(picks)) | {d("retained earlier")}
+    solid = frozenset(data.draw(picks))
+    report = WeightReport(1, admitted, solid, weights)
+    g = phase2_build_graph(report, proposed, Fraction(tau_i))
+    keep, edges, missing = scalar_phase2(report, proposed, tau_i)
+    assert g.nodes == keep
+    assert edges_of(g) == edges
+    assert g.missing == missing
+    assert g.solid.tolist() == [x in solid for x in keep]
 
 
 # -- tarjan + condensation -----------------------------------------------------------
 
 
 def test_tarjan_three_cycle_single_scc():
-    nodes = sorted(d(i) for i in range(3))
-    adj = [[1], [2], [0]]
-    assert tarjan_scc(nodes, adj) == [[0, 1, 2]]
+    assert tarjan_scc(matrix(3, [(0, 1), (1, 2), (2, 0)])) == [[0, 1, 2]]
 
 
 def test_tarjan_singleton_dag_in_topo_order():
-    nodes = [f"{i:02d}" for i in range(4)]
-    adj = [[1], [2], [3], []]
-    sccs = tarjan_scc(nodes, adj)
+    sccs = tarjan_scc(matrix(4, [(0, 1), (1, 2), (2, 3)]))
     assert sccs == [[0], [1], [2], [3]]
 
 
 def _random_digraph(rng, size, p):
     nodes = sorted(d(f"v{i}") for i in range(size))
-    adj = [[] for _ in range(size)]
+    adj = np.zeros((size, size), dtype=bool)
     for u in range(size):
         for v in range(size):
             if u != v and rng.random() < p:
-                adj[u].append(v)
+                adj[u, v] = True
     return nodes, adj
 
 
@@ -171,8 +228,8 @@ def test_tarjan_matches_reachability_oracle_random_50():
 
     rng = random.Random(50)
     nodes, adj = _random_digraph(rng, 50, 0.06)
-    edges = {(nodes[u], nodes[v]) for u in range(50) for v in adj[u]}
-    ours = condensation_order(tarjan_scc(nodes, adj), adj, nodes)
+    edges = {(nodes[u], nodes[v]) for u, v in zip(*np.nonzero(adj))}
+    ours = condensation_order(tarjan_scc(adj), adj)
     ours_named = [sorted(nodes[v] for v in scc) for scc in ours]
     oracle = [sorted(scc) for scc in reachability_scc(nodes, edges)]
     assert ours_named == oracle  # same SCCs, same canonical order
@@ -185,9 +242,9 @@ def test_tarjan_matches_reachability_oracle_property(seed, size, p):
 
     rng = random.Random(seed)
     nodes, adj = _random_digraph(rng, size, p)
-    edges = {(nodes[u], nodes[v]) for u in range(size) for v in adj[u]}
+    edges = {(nodes[u], nodes[v]) for u, v in zip(*np.nonzero(adj))}
     ours = [sorted(nodes[v] for v in scc)
-            for scc in condensation_order(tarjan_scc(nodes, adj), adj, nodes)]
+            for scc in condensation_order(tarjan_scc(adj), adj)]
     assert ours == [sorted(scc) for scc in reachability_scc(nodes, edges)]
 
 
@@ -197,10 +254,9 @@ def test_tarjan_matches_reachability_oracle_property(seed, size, p):
 def test_phase3_condorcet_single_scc_is_anchor():
     rep, (a, b, c) = _condorcet_report()
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
-    trunc, anchor, k, token = phase3_anchor(g)
+    trunc, anchor, k = phase3_anchor(g)
     assert anchor == 1
     assert sorted(k) == sorted([a, b, c])
-    assert token == frozenset({a, b, c})
 
 
 def test_phase3_truncates_past_anchor():
@@ -210,28 +266,30 @@ def test_phase3_truncates_past_anchor():
     rep = phase1_weights(snap, 5, 1, 1)  # tau=2, tau_s=3
     assert rep.solid == frozenset({x})
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
-    order, anchor, k, token = phase3_anchor(g)
+    order, anchor, k = phase3_anchor(g)
     assert k == [x]
     assert order == FinalOrder(1, (x,), ((0, 1),))
-    assert token == frozenset({x})
 
 
-def test_phase3_no_solid_retains_nothing_token_passes_through():
+def test_phase3_no_solid_retains_nothing():
     x, y = d("x2"), d("y2")
-    snap = Snapshot(1, {0: (x, y), 1: (x, y)})
+    st_ = CumulativeState(5, 1, 1)
+    st_.proposed.add(d("old"))
+    snap, _ = extract_snapshot(st_, _record(1, {0: [x, y], 1: [x, y]}))
     rep = phase1_weights(snap, 5, 1, 1)  # support 2 < tau_s=3: shaded only
-    g = phase2_build_graph(rep, frozenset({d("old")}), Fraction(2))
-    trunc, anchor, k, token = phase3_anchor(g)
+    g = phase2_build_graph(rep, st_.proposed, Fraction(2))
+    trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == []
-    assert token == frozenset({d("old")})
+    apply_result(st_, 1, k)
+    assert st_.proposed == {d("old")}
 
 
 def test_phase3_empty_graph():
     g = phase2_build_graph(
         phase1_weights(Snapshot(1, {}), 5, 1, 1), frozenset(), Fraction(2)
     )
-    trunc, anchor, k, token = phase3_anchor(g)
-    assert anchor == 0 and k == [] and token == frozenset()
+    trunc, anchor, k = phase3_anchor(g)
+    assert anchor == 0 and k == [] and trunc == FinalOrder(1, (), ())
 
 
 # -- phase 4 --------------------------------------------------------------------------
@@ -252,6 +310,7 @@ def test_phase4_parks_with_missing():
     g = phase2_build_graph(rep, frozenset(), Fraction(3))  # force 2/1 below 3
     trunc, *_ = phase3_anchor(g)
     assert trunc.missing == [tuple(sorted((x, y)))]
+    assert trunc.adj.shape == (2, 2) and not trunc.adj.any()
 
 
 # -- cumulative state: extract + apply -------------------------------------------------

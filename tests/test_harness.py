@@ -12,6 +12,7 @@ from batchfair.harness import (
     run_scenario,
     sweep,
 )
+from batchfair.params import ConfigError
 from batchfair.scenarios import build_scenario, scenario_names
 from batchfair.trace import RunTrace
 
@@ -76,6 +77,50 @@ def test_bad_config_names_offending_key(tmp_path):
     with pytest.raises(Exception) as exc:
         load_scenario_file(path)
     assert "wavelength" in str(exc.value)
+
+
+BASE_DOC = {"n": 5, "f": 1, "gamma": "1", "seed": 3, "max_rounds": 12}
+
+
+def load_doc(tmp_path, **keys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**BASE_DOC, **keys}))
+    return load_scenario_file(path)
+
+
+def test_explicit_client_items_load(tmp_path):
+    items = [["tx-a", 0, 1, 0], ["tx-b", 1, 2, 1]]
+    scenario = load_doc(tmp_path, clients={"kind": "items", "items": items})
+    assert scenario.clients.bodies() == ["tx-a", "tx-b"]
+
+
+def test_non_object_document_is_config_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([BASE_DOC]))
+    with pytest.raises(ConfigError, match="one JSON object"):
+        load_scenario_file(path)
+
+
+def test_unknown_client_kind_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="clients.kind: unknown kind 'poisson'"):
+        load_doc(tmp_path, clients={"kind": "poisson", "txs": 10})
+
+
+def test_fault_without_strategy_is_config_error(tmp_path):
+    faults = [{"replica": 1, "strategy": "silent_crash", "round": 3}, {"replica": 2, "round": 4}]
+    with pytest.raises(ConfigError, match=r"faults\[1\]: missing keys \['strategy'\]"):
+        load_doc(tmp_path, faults=faults)
+
+
+def test_unknown_fault_strategy_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown fault strategy 'lagging'"):
+        load_doc(tmp_path, faults=[{"replica": 1, "strategy": "lagging", "round": 3}])
+
+
+def test_three_field_client_item_is_config_error(tmp_path):
+    items = [["tx-a", 0, 1, 0], ["tx-b", 1, 2]]
+    with pytest.raises(ConfigError, match=r"clients.items\[1\]: expected \[body, replica, round, seq\]"):
+        load_doc(tmp_path, clients={"kind": "items", "items": items})
 
 
 def test_sweep_marks_infeasible_cells_skipped(tmp_path):

@@ -134,19 +134,19 @@ def test_empty_record_stream():
     assert out.emitted == [] and out.parked_left == []
 
 
-def test_chain_token_monotone_and_matches_retained_sets():
+def test_proposed_set_monotone_and_matches_retained_sets():
     res, cfg = simulate(seed=42)
     replay = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
-    chain_history = []
+    proposed_history = []
     for rec in res.records:
         replay.on_commit(rec)
-        chain_history.append(set(replay.chain))
-    for earlier, later in zip(chain_history, chain_history[1:]):
+        proposed_history.append(set(replay.state.proposed))
+    for earlier, later in zip(proposed_history, proposed_history[1:]):
         assert earlier <= later  # nested ascending along the subdag sequence
     k_union = set()
     for _, k_digests in res.trace.retained_sets():
         k_union |= set(k_digests)
-    assert chain_history[-1] == k_union
+    assert proposed_history[-1] == k_union
 
 
 def test_profiles_cover_every_subdag():

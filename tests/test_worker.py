@@ -47,7 +47,9 @@ def test_loi_bijection_gapless(ids):
     lois = [w.tracker.loi_of(d(f"tx{i}")) for i in sorted(set(ids))]
     assert sorted(lois) == list(range(len(set(ids))))
     # observation order matches assignment order
-    assert [w.tracker.loi_of(x) for x in w.receive_log] == list(range(len(set(ids))))
+    first_seen = list(dict.fromkeys(d(f"tx{i}") for i in ids))
+    assert list(w.tracker.assignment) == first_seen
+    assert [w.tracker.loi_of(x) for x in first_seen] == list(range(len(set(ids))))
 
 
 # -- batch assembly ---------------------------------------------------------------
@@ -61,15 +63,14 @@ def test_batch_entries_in_loi_order_and_kinds():
     batch = w.build_batch()
     assert [e.loi for e in batch.entries] == [0, 1, 2]
     assert [e.kind for e in batch.entries] == [DIRECT, INDIRECT, DIRECT]
-    assert batch.direct_entries[0].body == "a"
-    assert batch.indirect_entries[0].body is None
+    assert [e.body for e in batch.entries] == ["a", None, "b"]
 
 
 def test_indirect_one_hop_never_reforwarded():
     w = make_worker()
     w.observe_remote(d("x"))
     first = w.build_batch()
-    assert [e.digest for e in first.indirect_entries] == [d("x")]
+    assert [(e.kind, e.digest) for e in first.entries] == [(INDIRECT, d("x"))]
     w.observe_remote(d("x"))  # second sighting of the same digest
     assert w.build_batch().entries == ()
 

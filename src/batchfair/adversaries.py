@@ -76,24 +76,11 @@ class ClientSchedule:
                 raise ConfigError("injection rounds must be non-decreasing per replica")
             per_replica[d.replica] = d.round
 
-    def bodies(self) -> list[str]:
-        seen = []
-        have = set()
-        for d in self.directives:
-            if d.body not in have:
-                have.add(d.body)
-                seen.append(d.body)
-        return seen
-
     def by_replica_round(self) -> dict[tuple[int, int], list[str]]:
         out: dict[tuple[int, int], list[str]] = {}
         for d in sorted(self.directives, key=lambda d: (d.replica, d.round, d.seq)):
             out.setdefault((d.replica, d.round), []).append(d.body)
         return out
-
-    @property
-    def max_round(self) -> int:
-        return max((d.round for d in self.directives), default=0)
 
 
 @dataclass(frozen=True)

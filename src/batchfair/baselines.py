@@ -312,8 +312,3 @@ def dod_bug2_inflation(n: int = 5, f: int = 1, gamma=1) -> dict:
         "threshold": threshold,
         "spurious_cross": inflated >= threshold and genuine < threshold,
     }
-
-
-def reverse_order_strategy(local_order: list[str]) -> list[str]:
-    """Reported contribution of a reversing adversary: the exact reverse."""
-    return list(reversed(local_order))

@@ -175,10 +175,8 @@ class Simulator:
         if digest not in self.injection_time:
             self.injected.append(digest)
             self.injection_time[digest] = t
-        w = self.workers[replica]
-        fresh = not w.tracker.knows(digest)
         self.now = t
-        loi = w.observe_client(body, digest)
+        loi, fresh = self.workers[replica].observe_client(body, digest)
         if fresh:
             self.trace.append(
                 {"ev": "tx_received", "t": t, "replica": replica, "tx": digest,
@@ -186,10 +184,8 @@ class Simulator:
             )
 
     def _observe_remote(self, replica: int, digest: str, t: int) -> None:
-        w = self.workers[replica]
-        fresh = not w.tracker.knows(digest)
         self.now = t
-        loi = w.observe_remote(digest)
+        loi, fresh = self.workers[replica].observe_remote(digest)
         if fresh:
             self.trace.append(
                 {"ev": "tx_received", "t": t, "replica": replica, "tx": digest,

@@ -1,7 +1,11 @@
 """Per-subdag dependency-graph construction: phases 1-3 of the fairness task.
 
-Phase 1 classifies support and computes the pairwise weight matrix (the
-dominant cost, a pure function of the snapshot). Phase 2 drops the admitted
+Snapshot extraction decides a subdag's support classes, once: it counts how
+many authors list each unclaimed pending digest, admits those at tau_i,
+marks those at tau_s solid, and passes each author's admitted contributions
+on as integer indices into the admitted list. Phase 1, the dominant cost, is
+then an integer kernel that counts the pairwise weight matrix from those
+index orders (a pure function of the snapshot). Phase 2 drops the admitted
 transactions that an earlier subdag already retained (``CumulativeState.proposed``)
 and turns the weights into a k x k boolean adjacency matrix. Phase 3
 decomposes it into SCCs and truncates past the anchor. When no retained pair
@@ -9,10 +13,11 @@ is missing, phase 3 also linearizes the retained SCCs into the subdag's final
 order; otherwise it returns the truncated graph, which the coordinator
 (pipeline.py) parks until votes resolve its missing edges.
 
-Phase 1 is the step a process pool runs, so its output stays a flat
-``array('I')``: it pickles as raw bytes and the workers build no ndarray.
-Phase 2 views it as an m x m matrix without copying. From phase 2 on,
-``DepGraph.adj`` is a boolean ndarray whose vertices ascend by digest.
+Phase 1 is the step a process pool runs, so what crosses the process
+boundary is small: index lists in, a flat ``array('I')`` out, which pickles
+as raw bytes (the workers build no ndarray). Phase 2 views it as an m x m
+matrix without copying. From phase 2 on, ``DepGraph.adj`` is a boolean
+ndarray whose vertices ascend by digest.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and phase 2's filter
@@ -22,8 +27,10 @@ against everything earlier subdags retained, applied in commit order.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil
 
 import numpy as np
@@ -39,15 +46,24 @@ def count_threshold(tau) -> int:
 
 @dataclass
 class Snapshot:
-    """Per-replica committed-and-unclaimed contribution orders at subdag r."""
+    """One subdag's phase-1 input, classified once at extraction.
+
+    ``admitted`` holds the digests with support >= tau_i, ascending; ``solid``
+    those among them with support >= tau_s. ``orders`` maps each author to
+    its unclaimed admitted contributions, in contribution order, as indices
+    into ``admitted``.
+    """
 
     r: int
-    orders: dict[int, tuple[str, ...]]
+    admitted: list[str]
+    solid: frozenset[str]
+    orders: dict[int, list[int]]
 
 
 @dataclass
 class WeightReport:
-    """Phase-1 output: support classes plus the cached pairwise weight matrix.
+    """Phase-1 output: the snapshot's support classes plus the cached
+    pairwise weight matrix.
 
     ``weights`` is a flat m*m count matrix over ``admitted`` (sorted by
     digest): weights[i*m + j] = number of snapshot orders placing admitted[i]
@@ -74,15 +90,17 @@ class DepGraph:
 class CumulativeState:
     """Main-thread cumulative ordering state shared across subdag tasks.
 
-    Mutated only by extract_snapshot and apply_result, which run serially in
-    commit order.
+    ``pending[author]`` is an ordered set (a dict of None) of the author's
+    contributions, first listing first. A digest leaves it only in
+    apply_result, which adds it to ``proposed``; ingestion skips what is in
+    either. Mutated only by extract_snapshot and apply_result, which run
+    serially in commit order.
     """
 
     def __init__(self, n: int, f: int, gamma) -> None:
         self.tau_i = count_threshold(edge_threshold(n, f, gamma))
         self.tau_s = solid_threshold(n, f)
-        self.pending: dict[int, list[str]] = {}
-        self.seen: dict[int, set[str]] = {}
+        self.pending: dict[int, dict[str, None]] = {}
         self.proposed: set[str] = set()
         self.claims: dict[int, frozenset[str]] = {}
         self.last_extracted = 0
@@ -90,30 +108,28 @@ class CumulativeState:
 
     def _ingest(self, record: CommitRecord) -> None:
         for vr in record.vertices:
-            plist = self.pending.setdefault(vr.author, [])
-            pseen = self.seen.setdefault(vr.author, set())
+            plist = self.pending.setdefault(vr.author, {})
             for digest, _loi in vr.entries:
-                if digest in self.proposed or digest in pseen:
-                    continue
-                pseen.add(digest)
-                plist.append(digest)
+                if digest not in self.proposed:
+                    plist.setdefault(digest)
 
 
-def support_classes(
-    orders: dict[int, tuple[str, ...]], tau_i: int, tau_s: int
-) -> tuple[list[str], frozenset[str]]:
-    """The admitted digests (support >= tau_i, sorted) and the solid ones
-    among them (support >= tau_s)."""
-    support: dict[str, int] = {}
-    for author in sorted(orders):
-        for d in orders[author]:
-            support[d] = support.get(d, 0) + 1
+def classify(r: int, orders: dict[int, list[str]], tau_i: int, tau_s: int) -> Snapshot:
+    """Count support once (one per author listing a digest) and cut the
+    snapshot: admitted at tau_i, solid at tau_s, orders as admitted indices."""
+    support = Counter(chain.from_iterable(orders.values()))
     admitted = sorted(d for d, c in support.items() if c >= tau_i)
     solid = frozenset(d for d in admitted if support[d] >= tau_s)
-    return admitted, solid
+    idx = {d: i for i, d in enumerate(admitted)}
+    indexed = {}
+    for author, order in orders.items():
+        fi = [idx[d] for d in order if d in idx]
+        if fi:
+            indexed[author] = fi
+    return Snapshot(r, admitted, solid, indexed)
 
 
-def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snapshot, frozenset[str]]:
+def extract_snapshot(state: CumulativeState, record: CommitRecord) -> Snapshot:
     """Synchronous main-thread step: ingest a committed subdag and cut L_i.
 
     The snapshot excludes permanently proposed transactions and every active
@@ -126,54 +142,44 @@ def extract_snapshot(state: CumulativeState, record: CommitRecord) -> tuple[Snap
         )
     state.last_extracted = record.r
     state._ingest(record)
-    claimed: set[str] = set()
-    for c in state.claims.values():
-        claimed |= c
+    claimed = set().union(*state.claims.values())
     orders = {
-        author: tuple(d for d in plist if d not in claimed)
+        author: [d for d in plist if d not in claimed]
         for author, plist in sorted(state.pending.items())
-        if plist
     }
-    orders = {a: o for a, o in orders.items() if o}
-    claim = support_classes(orders, state.tau_i, state.tau_s)[1]
-    state.claims[record.r] = claim
-    return Snapshot(record.r, orders), claim
+    snap = classify(record.r, orders, state.tau_i, state.tau_s)
+    state.claims[record.r] = snap.solid
+    return snap
 
 
-def apply_result(state: CumulativeState, r: int, k_set) -> None:
+def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
     """Promote a finished task's retained vertices and drop its claim."""
     if r in state.applied:
         raise ValueError(f"result for subdag {r} applied twice")
     state.applied.add(r)
-    retained = set(k_set)
-    state.proposed |= retained
-    if retained:
-        for author in list(state.pending):
-            state.pending[author] = [d for d in state.pending[author] if d not in retained]
+    state.proposed.update(k_set)
+    for plist in state.pending.values():
+        for d in k_set:
+            plist.pop(d, None)
     state.claims.pop(r, None)
 
 
 # -- Phase 1 ------------------------------------------------------------------
 
 
-def phase1_weights(snapshot: Snapshot, n: int, f: int, gamma) -> WeightReport:
-    """Support classification plus pairwise weight matrix.
+def phase1_weights(snapshot: Snapshot) -> WeightReport:
+    """Pairwise weight matrix: an integer kernel over the index orders.
 
     Pure function of the snapshot: no shared-state reads, rerunnable.
     """
-    admitted, solid = support_classes(
-        snapshot.orders, count_threshold(edge_threshold(n, f, gamma)), solid_threshold(n, f)
-    )
-    idx = {d: k for k, d in enumerate(admitted)}
-    m = len(admitted)
+    m = len(snapshot.admitted)
     weights = array("I", bytes(4 * m * m))
-    for author in sorted(snapshot.orders):
-        fi = [idx[d] for d in snapshot.orders[author] if d in idx]
-        for a in range(len(fi)):
-            base = fi[a] * m
-            for b in range(a + 1, len(fi)):
-                weights[base + fi[b]] += 1
-    return WeightReport(snapshot.r, admitted, solid, weights)
+    for fi in snapshot.orders.values():
+        for a, i in enumerate(fi):
+            base = i * m
+            for j in fi[a + 1:]:
+                weights[base + j] += 1
+    return WeightReport(snapshot.r, snapshot.admitted, snapshot.solid, weights)
 
 
 # -- Phase 2 ------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Fairness-pipeline coordinator: per-subdag phases and the Emit gate.
 
-Phase 1 (the weight matrix) is a pure function of a subdag's snapshot and is
-the only step that can run apart from the others. Phase 2 filters against
-``CumulativeState.proposed``, which holds what every earlier subdag
-retained, and Emit drains in commit order, so everything after phase 1 runs
-on the coordinator, one subdag at a time, in commit order. Both drivers
-share that landing step, ``_land``, and the vote-routing step:
+Extraction (``extract_snapshot``) runs on the coordinator in commit order and
+decides each subdag's support classes once. Phase 1 (the weight matrix) is an
+integer kernel over the snapshot's index orders, a pure function of the
+snapshot, and is the only step that can run apart from the others. Phase 2
+filters against ``CumulativeState.proposed``, which holds what every earlier
+subdag retained, and Emit drains in commit order, so everything after phase
+1 runs on the coordinator, one subdag at a time, in commit order. Both
+drivers share that landing step, ``_land``, and the vote-routing step:
 
 * event/serial mode (``on_commit``, ``replay``): each committed subdag runs
   phase 1 inline and lands at once (this is also how the simulator drives
@@ -19,8 +21,10 @@ The vote tally scans author prefixes from n-f upward and keeps the minimal
 sufficient prefix, so the outcome does not depend on how many extra votes
 happen to be buffered when a tally runs. A process pool (not threads) does
 the parallel work because the phase-1 kernel is pure Python and the GIL
-serializes threads; its result stays a flat ``array('I')``, so the workers
-never build an ndarray and the result pickles as raw bytes.
+serializes threads. A task ships the admitted digests once and every
+author's order as integer indices into them, and its result stays a flat
+``array('I')``, so the workers never build an ndarray and the result pickles
+as raw bytes.
 """
 
 from __future__ import annotations
@@ -50,14 +54,13 @@ class PipelineResult:
     emitted: list[FinalOrder]
     profiles: list[dict]
     parked_left: list[int]
-    ready_left: list[int]
     diagnostics: list[dict]
 
 
-def _weights_task(r: int, orders: dict, n: int, f: int, gamma) -> tuple:
+def _weights_task(snapshot: Snapshot) -> tuple:
     """Phase 1 and its CPU time; module level so it pickles for the pool."""
     t0 = perf_counter_ns()
-    report = phase1_weights(Snapshot(r, orders), n, f, gamma)
+    report = phase1_weights(snapshot)
     return report, perf_counter_ns() - t0
 
 
@@ -67,7 +70,6 @@ class FairnessPipeline:
     def __init__(self, n: int, f: int, gamma, trace_cb=None, fairpropose_cb=None):
         self.n = n
         self.f = f
-        self.gamma = gamma
         self.tau = edge_threshold(n, f, gamma)
         self.state = CumulativeState(n, f, gamma)
         self.store = ParkedStore()
@@ -114,7 +116,7 @@ class FairnessPipeline:
 
     def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
         t0 = perf_counter_ns()
-        snap, _claim = extract_snapshot(self.state, record)
+        snap = extract_snapshot(self.state, record)
         return snap, perf_counter_ns() - t0
 
     def _land(self, r: int, extract_ns: int, report: WeightReport, weights_ns: int) -> None:
@@ -175,7 +177,7 @@ class FairnessPipeline:
         self.now = now
         self._route(record)
         snap, extract_ns = self._extract(record)
-        report, weights_ns = _weights_task(snap.r, snap.orders, self.n, self.f, self.gamma)
+        report, weights_ns = _weights_task(snap)
         self._land(record.r, extract_ns, report, weights_ns)
 
     def finish(self) -> PipelineResult:
@@ -183,7 +185,6 @@ class FairnessPipeline:
             self.emitted,
             self.profiles,
             sorted(self.store.parked),
-            sorted(self.store.ready),
             self.store.diagnostics,
         )
 
@@ -216,7 +217,7 @@ class FairnessPipeline:
             for rec in records:
                 self._route(rec)
                 snap, extract_ns = self._extract(rec)
-                fut = pool.submit(_weights_task, snap.r, snap.orders, self.n, self.f, self.gamma)
+                fut = pool.submit(_weights_task, snap)
                 inflight.append((snap.r, extract_ns, fut))
                 if len(inflight) >= max(1, slots):
                     land_oldest()

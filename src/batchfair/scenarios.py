@@ -182,13 +182,6 @@ def _wire_binary(seed: int) -> Scenario:
     return Scenario("wire_binary", cfg, clients=clients)
 
 
-def _sweep_cell(seed: int, n: int = 9, f: int = 2, gamma="1") -> Scenario:
-    cfg = SimConfig(n=n, f=f, gamma=gamma, seed=seed, max_rounds=26, delay_max=4)
-    faults = random_crash_schedule(n, f, cfg.max_rounds, seed)
-    clients = uniform_load(n, 90, 1, 18, seed=seed, skew_p=0.2)
-    return Scenario(f"sweep_n{n}_f{f}_g{gamma}", cfg, faults=faults, clients=clients)
-
-
 _BUILDERS = {
     "condorcet_minimal": _condorcet_minimal,
     "crash_n13": _crash_n13,

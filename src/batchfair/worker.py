@@ -65,25 +65,29 @@ class WorkerState:
 
     # -- observation paths ------------------------------------------------
 
-    def observe_client(self, body: str, digest: str) -> int:
-        """A client submitted a transaction body directly to this replica."""
+    def observe_client(self, body: str, digest: str) -> tuple[int, bool]:
+        """A client submitted a transaction body directly to this replica.
+
+        Returns (loi, fresh): fresh on the first observation of the digest.
+        """
         loi, fresh = self.tracker.record(digest)
         if fresh:
             self.entry_queue.append(Entry(DIRECT, digest, loi, body))
             self._rescan_pending(digest)
-        return loi
+        return loi, fresh
 
-    def observe_remote(self, digest: str) -> int:
+    def observe_remote(self, digest: str) -> tuple[int, bool]:
         """A digest arrived inside a remote worker's batch (either entry kind).
 
         First observation assigns an LOI and queues this replica's own
         indirect entry; the entry itself is never propagated further.
+        Returns (loi, fresh), as observe_client does.
         """
         loi, fresh = self.tracker.record(digest)
         if fresh:
             self.entry_queue.append(Entry(INDIRECT, digest, loi))
             self._rescan_pending(digest)
-        return loi
+        return loi, fresh
 
     # -- Algorithm 1: FairUpdate voting -----------------------------------
 

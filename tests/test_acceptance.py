@@ -196,7 +196,8 @@ def test_criterion_6_missing_edge_stall():
 
 
 def test_criterion_7_condorcet_cycle_single_batch():
-    from batchfair.graph import Snapshot, phase1_weights
+    from batchfair.graph import classify, count_threshold, phase1_weights
+    from batchfair.params import edge_threshold, solid_threshold
     from batchfair.types import tx_digest
 
     rep, res = execute_scenario(build_scenario("condorcet_minimal"), serial=True)
@@ -209,10 +210,8 @@ def test_criterion_7_condorcet_cycle_single_batch():
         for vr in rec.vertices:
             for dg, _ in vr.entries:
                 snap_orders.setdefault(vr.author, []).append(dg)
-    report = phase1_weights(
-        Snapshot(1, {k: tuple(v) for k, v in snap_orders.items()}),
-        3, 0, Fraction(2, 3),
-    )
+    tau_i = count_threshold(edge_threshold(3, 0, Fraction(2, 3)))
+    report = phase1_weights(classify(1, snap_orders, tau_i, solid_threshold(3, 0)))
     m = len(report.admitted)
 
     def weight(u, v):

@@ -5,7 +5,6 @@ from batchfair.baselines import (
     FairDagModel,
     dod_bug1_divergence,
     dod_bug2_inflation,
-    reverse_order_strategy,
 )
 from batchfair.scenarios import build_scenario
 
@@ -115,15 +114,6 @@ def test_bug2_inflation_vignette():
     out = dod_bug2_inflation(5, 1, 1)
     assert out["spurious_cross"]
     assert out["inflated"] >= out["threshold"] > out["genuine"]
-
-
-# -- reversing strategy -------------------------------------------------------------------
-
-
-def test_reverse_order_strategy():
-    assert reverse_order_strategy(["a", "b", "c"]) == ["c", "b", "a"]
-    assert reverse_order_strategy(["only"]) == ["only"]
-    assert reverse_order_strategy([]) == []
 
 
 def test_shipped_scenarios_carry_exact_parameterizations():

@@ -12,6 +12,7 @@ from batchfair.graph import (
     Snapshot,
     WeightReport,
     apply_result,
+    classify,
     condensation_order,
     count_threshold,
     extract_snapshot,
@@ -20,7 +21,7 @@ from batchfair.graph import (
     phase3_anchor,
     tarjan_scc,
 )
-from batchfair.params import edge_threshold
+from batchfair.params import edge_threshold, solid_threshold
 from batchfair.types import CommitRecord, FinalOrder, VertexRecord, tx_digest
 
 
@@ -42,6 +43,16 @@ def brute_force_weights(orders: dict, u: str, v: str) -> tuple[int, int]:
 
 def brute_force_support(orders: dict, tx: str) -> int:
     return sum(1 for lst in orders.values() if tx in lst)
+
+
+def snapshot(orders: dict, n: int, f: int, gamma) -> Snapshot:
+    """Subdag 1's snapshot of digest orders, classified at (n, f, gamma)."""
+    tau_i = count_threshold(edge_threshold(n, f, gamma))
+    return classify(1, orders, tau_i, solid_threshold(n, f))
+
+
+def digest_orders(snap: Snapshot) -> dict:
+    return {a: tuple(snap.admitted[i] for i in fi) for a, fi in snap.orders.items()}
 
 
 def weight(rep, u: str, v: str) -> int:
@@ -67,8 +78,8 @@ def matrix(size: int, edges) -> np.ndarray:
 def test_condorcet_weights_and_classes():
     # three cyclic orders; tau = 2, tau_s = 3 at n=3, f=0, gamma=2/3
     a, b, c = d("a"), d("b"), d("c")
-    snap = Snapshot(1, {0: (a, b, c), 1: (b, c, a), 2: (c, a, b)})
-    rep = phase1_weights(snap, 3, 0, Fraction(2, 3))
+    snap = snapshot({0: (a, b, c), 1: (b, c, a), 2: (c, a, b)}, 3, 0, Fraction(2, 3))
+    rep = phase1_weights(snap)
     assert rep.admitted == sorted([a, b, c])
     assert rep.solid == frozenset({a, b, c})
     assert (weight(rep, a, b), weight(rep, b, a)) == (2, 1)
@@ -77,7 +88,7 @@ def test_condorcet_weights_and_classes():
 
 
 def test_empty_snapshot_empty_report():
-    rep = phase1_weights(Snapshot(1, {}), 5, 1, 1)
+    rep = phase1_weights(snapshot({}, 5, 1, 1))
     assert rep.admitted == [] and rep.solid == frozenset() and len(rep.weights) == 0
 
 
@@ -89,7 +100,7 @@ def test_phase1_matches_brute_force_fixed():
         lst = [t for t in txs if rng.random() < 0.8]
         rng.shuffle(lst)
         orders[rep_id] = tuple(lst)
-    rep = phase1_weights(Snapshot(1, orders), 5, 1, 1)
+    rep = phase1_weights(snapshot(orders, 5, 1, 1))
     tau_i = count_threshold(edge_threshold(5, 1, 1))
     for t in txs:
         assert (brute_force_support(orders, t) >= tau_i) == (t in rep.admitted)
@@ -107,11 +118,11 @@ def test_phase1_matches_brute_force_property(data, n):
         cut = data.draw(st.integers(0, len(universe)), label=f"cut{i}")
         orders[i] = tuple(lst[:cut])
     f = (n - 1) // 4
-    rep = phase1_weights(Snapshot(1, orders), n, f, 1)
+    rep = phase1_weights(snapshot(orders, n, f, 1))
     for u, v in combinations(rep.admitted, 2):
         assert (weight(rep, u, v), weight(rep, v, u)) == brute_force_weights(orders, u, v)
     # weight purity: rerunning yields identical results
-    again = phase1_weights(Snapshot(1, orders), n, f, 1)
+    again = phase1_weights(snapshot(orders, n, f, 1))
     assert again.weights == rep.weights and again.admitted == rep.admitted
 
 
@@ -120,8 +131,8 @@ def test_phase1_matches_brute_force_property(data, n):
 
 def _condorcet_report():
     a, b, c = d("a"), d("b"), d("c")
-    snap = Snapshot(1, {0: (a, b, c), 1: (b, c, a), 2: (c, a, b)})
-    return phase1_weights(snap, 3, 0, Fraction(2, 3)), (a, b, c)
+    snap = snapshot({0: (a, b, c), 1: (b, c, a), 2: (c, a, b)}, 3, 0, Fraction(2, 3))
+    return phase1_weights(snap), (a, b, c)
 
 
 def test_phase2_condorcet_builds_cycle_no_missing():
@@ -134,8 +145,8 @@ def test_phase2_condorcet_builds_cycle_no_missing():
 def test_phase2_below_threshold_pair_is_missing():
     x, y = d("x"), d("y")
     # two replicas disagree 1/1, tau = 2
-    snap = Snapshot(1, {0: (x, y), 1: (y, x), 2: ()})
-    rep = phase1_weights(snap, 3, 0, Fraction(2, 3))
+    snap = snapshot({0: (x, y), 1: (y, x), 2: ()}, 3, 0, Fraction(2, 3))
+    rep = phase1_weights(snap)
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
     assert g.missing == [tuple(sorted((x, y)))]
     assert not g.adj.any()
@@ -143,8 +154,8 @@ def test_phase2_below_threshold_pair_is_missing():
 
 def test_phase2_tie_at_threshold_goes_to_smaller_digest():
     x, y = sorted((d("p"), d("q")))
-    snap = Snapshot(1, {0: (x, y), 1: (x, y), 2: (y, x), 3: (y, x), 4: ()})
-    rep = phase1_weights(snap, 5, 1, 1)  # tau = 2; 2/2 tie
+    snap = snapshot({0: (x, y), 1: (x, y), 2: (y, x), 3: (y, x), 4: ()}, 5, 1, 1)
+    rep = phase1_weights(snap)  # tau = 2; 2/2 tie
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
     assert edges_of(g) == {(x, y)}
 
@@ -262,8 +273,8 @@ def test_phase3_condorcet_single_scc_is_anchor():
 def test_phase3_truncates_past_anchor():
     # x -> y -> z with only x solid: y, z return to pending
     x, y, z = d("x1"), d("y1"), d("z1")
-    snap = Snapshot(1, {0: (x, y, z), 1: (x, y, z), 2: (x,)})
-    rep = phase1_weights(snap, 5, 1, 1)  # tau=2, tau_s=3
+    snap = snapshot({0: (x, y, z), 1: (x, y, z), 2: (x,)}, 5, 1, 1)
+    rep = phase1_weights(snap)  # tau=2, tau_s=3
     assert rep.solid == frozenset({x})
     g = phase2_build_graph(rep, frozenset(), Fraction(2))
     order, anchor, k = phase3_anchor(g)
@@ -275,8 +286,8 @@ def test_phase3_no_solid_retains_nothing():
     x, y = d("x2"), d("y2")
     st_ = CumulativeState(5, 1, 1)
     st_.proposed.add(d("old"))
-    snap, _ = extract_snapshot(st_, _record(1, {0: [x, y], 1: [x, y]}))
-    rep = phase1_weights(snap, 5, 1, 1)  # support 2 < tau_s=3: shaded only
+    snap = extract_snapshot(st_, _record(1, {0: [x, y], 1: [x, y]}))
+    rep = phase1_weights(snap)  # support 2 < tau_s=3: shaded only
     g = phase2_build_graph(rep, st_.proposed, Fraction(2))
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == []
@@ -286,7 +297,7 @@ def test_phase3_no_solid_retains_nothing():
 
 def test_phase3_empty_graph():
     g = phase2_build_graph(
-        phase1_weights(Snapshot(1, {}), 5, 1, 1), frozenset(), Fraction(2)
+        phase1_weights(snapshot({}, 5, 1, 1)), frozenset(), Fraction(2)
     )
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == [] and trunc == FinalOrder(1, (), ())
@@ -305,8 +316,8 @@ def test_phase4_finalizes_without_missing():
 
 def test_phase4_parks_with_missing():
     x, y = d("x"), d("y")
-    snap = Snapshot(1, {0: (x, y), 1: (y, x), 2: (x, y), 3: (x,), 4: (y,)})
-    rep = phase1_weights(snap, 5, 1, 1)
+    snap = snapshot({0: (x, y), 1: (y, x), 2: (x, y), 3: (x,), 4: (y,)}, 5, 1, 1)
+    rep = phase1_weights(snap)
     g = phase2_build_graph(rep, frozenset(), Fraction(3))  # force 2/1 below 3
     trunc, *_ = phase3_anchor(g)
     assert trunc.missing == [tuple(sorted((x, y)))]
@@ -326,24 +337,28 @@ def _record(r, contributions: dict[int, list[str]]) -> CommitRecord:
 
 def test_extract_first_subdag_base_case():
     st_ = CumulativeState(3, 0, Fraction(2, 3))
-    snap, claim = extract_snapshot(st_, _record(1, {0: [d("x")], 1: [d("x")], 2: [d("x")]}))
-    assert snap.orders == {0: (d("x"),), 1: (d("x"),), 2: (d("x"),)}
-    assert claim == frozenset({d("x")})  # support 3 >= tau_s = 3
+    snap = extract_snapshot(st_, _record(1, {0: [d("x")], 1: [d("x")], 2: [d("x")]}))
+    assert snap.admitted == [d("x")]
+    assert snap.orders == {0: [0], 1: [0], 2: [0]}
+    assert digest_orders(snap) == {0: (d("x"),), 1: (d("x"),), 2: (d("x"),)}
+    assert snap.solid == st_.claims[1] == frozenset({d("x")})  # support 3 >= tau_s = 3
 
 
 def test_extract_single_reporter_stays_blank_no_claim():
     st_ = CumulativeState(4, 1, 1)
-    snap, claim = extract_snapshot(st_, _record(1, {2: [d("a"), d("b")]}))
-    assert claim == frozenset()
-    assert snap.orders == {2: (d("a"), d("b"))}
+    snap = extract_snapshot(st_, _record(1, {2: [d("a"), d("b")]}))
+    assert snap.solid == st_.claims[1] == frozenset()
+    # support 1 < tau_i = 2: nothing is admitted, and both stay pending in order
+    assert snap.admitted == [] and snap.orders == {}
+    assert list(st_.pending[2]) == [d("a"), d("b")]
 
 
 def test_claimed_tx_excluded_from_next_snapshot_before_apply():
     st_ = CumulativeState(3, 0, Fraction(2, 3))
     extract_snapshot(st_, _record(1, {0: [d("s")], 1: [d("s")], 2: [d("s")]}))
     # the first task has NOT returned; its solid claim hides s
-    snap2, _ = extract_snapshot(st_, _record(2, {0: [d("t")], 1: [d("t")], 2: [d("t")]}))
-    flat = {dg for order in snap2.orders.values() for dg in order}
+    snap2 = extract_snapshot(st_, _record(2, {0: [d("t")], 1: [d("t")], 2: [d("t")]}))
+    flat = {dg for order in digest_orders(snap2).values() for dg in order}
     assert d("s") not in flat and d("t") in flat
 
 
@@ -359,8 +374,8 @@ def test_apply_result_promotes_and_drops_claim():
     apply_result(st_, 1, [d("k")])
     assert d("k") in st_.proposed and 1 not in st_.claims
     # truncated tx stays pending and reappears in the next snapshot
-    snap2, _ = extract_snapshot(st_, _record(2, {1: [d("z")], 2: [d("z")]}))
-    flat = {dg for order in snap2.orders.values() for dg in order}
+    snap2 = extract_snapshot(st_, _record(2, {1: [d("z")], 2: [d("z")]}))
+    flat = {dg for order in digest_orders(snap2).values() for dg in order}
     assert d("z") in flat and d("k") not in flat
 
 
@@ -376,6 +391,6 @@ def test_graphed_tx_never_reenters_via_late_echo():
     st_ = CumulativeState(3, 0, Fraction(2, 3))
     extract_snapshot(st_, _record(1, {0: [d("k")], 1: [d("k")], 2: [d("k")]}))
     apply_result(st_, 1, [d("k")])
-    snap2, _ = extract_snapshot(st_, _record(2, {1: [d("k"), d("w")]}))
-    flat = {dg for order in snap2.orders.values() for dg in order}
-    assert flat == {d("w")}
+    snap2 = extract_snapshot(st_, _record(2, {1: [d("k"), d("w")]}))
+    assert {a: list(p) for a, p in st_.pending.items() if p} == {1: [d("w")]}
+    assert snap2.admitted == []  # w alone is below tau_i = 2

@@ -91,7 +91,9 @@ def load_doc(tmp_path, **keys):
 def test_explicit_client_items_load(tmp_path):
     items = [["tx-a", 0, 1, 0], ["tx-b", 1, 2, 1]]
     scenario = load_doc(tmp_path, clients={"kind": "items", "items": items})
-    assert scenario.clients.bodies() == ["tx-a", "tx-b"]
+    assert [(c.body, c.replica, c.round, c.seq) for c in scenario.clients.directives] == [
+        ("tx-a", 0, 1, 0), ("tx-b", 1, 2, 1)
+    ]
 
 
 def test_non_object_document_is_config_error(tmp_path):

@@ -46,14 +46,17 @@ def test_concurrent_replay_matches_in_loop_with_parked_graphs(pool):
 
 
 class CountingExecutor:
-    """Delegates to a real pool and records the function of every submit."""
+    """Delegates to a real pool and records the function and the arguments
+    of every submit."""
 
     def __init__(self, pool):
         self._pool = pool
         self.submitted = []
+        self.args = []
 
     def submit(self, fn, *args, **kwargs):
         self.submitted.append(fn)
+        self.args.append(args)
         return self._pool.submit(fn, *args, **kwargs)
 
 
@@ -66,6 +69,13 @@ def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
     )
     assert counting.submitted == [_weights_task] * len(res.records)
     assert conc.emitted == res.pipeline.emitted
+    # each task ships one snapshot whose per-author orders are integer indices
+    snapshots = [snap for (snap,) in counting.args]
+    assert [snap.r for snap in snapshots] == [rec.r for rec in res.records]
+    assert any(snap.orders for snap in snapshots)
+    for snap in snapshots:
+        for order in snap.orders.values():
+            assert all(type(i) is int and 0 <= i < len(snap.admitted) for i in order)
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -96,6 +106,29 @@ def test_scc_pass_once_per_subdag_and_finalize_only_on_resolve(monkeypatch):
     assert len(tarjan) == len(res.records) + len(resolved)
     assert len(finalized) == len(resolved)
     assert out.emitted == res.pipeline.emitted
+
+
+def test_support_classified_once_per_subdag(monkeypatch):
+    res, cfg = simulate(seed=42, skew=0.3)
+    classified = count_calls(monkeypatch, graph, "classify")
+    out = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay(res.records)
+    assert len(classified) == len(res.records)
+    assert out.emitted == res.pipeline.emitted
+
+
+def test_retained_digests_leave_every_per_author_structure():
+    res, cfg = simulate(seed=42)
+    pipe = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
+    state = pipe.state
+    # every author-keyed container of digests (claims are keyed by subdag)
+    per_author = [v for k, v in vars(state).items() if isinstance(v, dict) and k != "claims"]
+    assert per_author
+    for rec in res.records:
+        pipe.on_commit(rec)  # lands the subdag: apply_result
+        for by_author in per_author:
+            for held in by_author.values():
+                assert state.proposed.isdisjoint(held), rec.r
+    assert state.proposed
 
 
 def test_quorum_arithmetic_once_per_config(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from batchfair.graph import (
     CumulativeState,
-    Snapshot,
     apply_result,
     extract_snapshot,
     phase1_weights,
@@ -114,8 +113,9 @@ def test_solid_retention_and_claim_subset(records):
     state = CumulativeState(N, F, GAMMA)
     tau = Fraction(2)  # n(1-gamma)+f+1 at gamma=1
     for rec in records:
-        snap, claim = extract_snapshot(state, rec)
-        report = phase1_weights(snap, N, F, GAMMA)
+        snap = extract_snapshot(state, rec)
+        claim = state.claims[rec.r]
+        report = phase1_weights(snap)
         graph = phase2_build_graph(report, state.proposed, tau)
         trunc, anchor, k_digests = phase3_anchor(graph)
         assert claim - state.proposed <= set(k_digests)
@@ -135,9 +135,10 @@ def test_byzantine_double_listing_deduped():
         ),
     )
     state = CumulativeState(N, F, GAMMA)
-    snap, _ = extract_snapshot(state, rec)
-    assert snap.orders[0] == (dg,)  # first listing wins, duplicate dropped
-    report = phase1_weights(snap, N, F, GAMMA)
-    # phase 1 counts support per listing: 3, not 4
-    assert sum(order.count(dg) for order in snap.orders.values()) == 3
+    snap = extract_snapshot(state, rec)
+    assert snap.admitted == [dg]
+    assert snap.orders[0] == [0]  # first listing wins, duplicate dropped
+    report = phase1_weights(snap)
+    # support counts one per listing author: 3, not 4
+    assert sum(order.count(0) for order in snap.orders.values()) == 3
     assert report.admitted == [dg] and report.solid == frozenset({dg})

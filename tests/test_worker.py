@@ -21,14 +21,14 @@ def make_worker(reverse=False) -> WorkerState:
 
 def test_loi_counter_base_and_increment():
     w = make_worker()
-    assert w.observe_client("a", d("a")) == 0
-    assert w.observe_client("b", d("b")) == 1
+    assert w.observe_client("a", d("a")) == (0, True)
+    assert w.observe_client("b", d("b")) == (1, True)
 
 
 def test_loi_idempotent_reobservation():
     w = make_worker()
-    assert w.observe_client("a", d("a")) == 0
-    assert w.observe_client("a", d("a")) == 0
+    assert w.observe_client("a", d("a")) == (0, True)
+    assert w.observe_client("a", d("a")) == (0, False)
     assert w.tracker.next_loi == 1
 
 
@@ -36,7 +36,7 @@ def test_same_loi_for_remote_then_client_path():
     w = make_worker()
     first = w.observe_remote(d("a"))
     again = w.observe_client("a", d("a"))
-    assert first == again == 0
+    assert first == (0, True) and again == (0, False)
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=60))

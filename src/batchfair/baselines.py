@@ -280,35 +280,3 @@ class DodModel:
                 else:
                     executed.append(rnd)
         return DodReport(missing, queue, executed, mech1, mech2, resolutions)
-
-
-# -- prose-level vignettes for the other two weight-store defects -------------------
-
-
-def dod_bug1_divergence() -> dict:
-    """Two replicas computing the same missing pair from different quorums end
-    up with permanently diverged weights because broadcasts carry bare pairs.
-    A construction from the prose, not a scripted protocol trace."""
-    w_x = 2  # replica X's quorum showed the pair twice in one direction
-    w_y = 1  # replica Y's quorum showed it once
-    # each broadcasts the bare pair; each increments by one upon receiving
-    # the other's copy, so the initial gap is carried forward verbatim
-    w_x_final = w_x + 1
-    w_y_final = w_y + 1
-    return {"x": w_x_final, "y": w_y_final, "diverged": w_x_final != w_y_final}
-
-
-def dod_bug2_inflation(n: int = 5, f: int = 1, gamma=1) -> dict:
-    """With all f replicas crashed, the n-f honest replicas build identical
-    graphs and broadcast the same missing pair; per-copy increments inflate
-    the weight past the threshold without any genuine quorum support."""
-    g = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
-    threshold = int(ceil(Fraction(n) * (1 - g) + f + 1))
-    genuine = 1  # one local order genuinely supports the direction
-    inflated = genuine + (n - f)  # one increment per received identical copy
-    return {
-        "genuine": genuine,
-        "inflated": inflated,
-        "threshold": threshold,
-        "spurious_cross": inflated >= threshold and genuine < threshold,
-    }

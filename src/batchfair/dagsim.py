@@ -35,7 +35,6 @@ class SimResult:
     injected: list[str]  # digests of all client-submitted transactions
     injection_time: dict[str, int]
     emit_time: dict[int, int]  # subdag id -> simulated emit time
-    final_time: int
 
 
 class Simulator:
@@ -183,15 +182,6 @@ class Simulator:
                  "loi": loi, "src": "client"}
             )
 
-    def _observe_remote(self, replica: int, digest: str, t: int) -> None:
-        self.now = t
-        loi, fresh = self.workers[replica].observe_remote(digest)
-        if fresh:
-            self.trace.append(
-                {"ev": "tx_received", "t": t, "replica": replica, "tx": digest,
-                 "loi": loi, "src": "batch"}
-            )
-
     # -- proposals ----------------------------------------------------------------
 
     def _propose(self, replica: int, round_: int, t: int) -> None:
@@ -204,7 +194,7 @@ class Simulator:
         else:
             batch = self.workers[replica].build_batch()
             if cfg.batch_wire:
-                batch = decode_batch(encode_batch(batch, cfg.batch_wire), cfg.batch_wire)
+                batch = decode_batch(encode_batch(batch))
             held = self.held[replica].get(round_ - 1, {})
             assert len(held) >= cfg.quorum, "proposed without a quorum of parents"
             if cfg.self_reference:
@@ -275,8 +265,14 @@ class Simulator:
                 return
             vertex = self.by_round[int(vid[1:5])][int(vid[6:9])]
             if vertex.batch is not None:
+                observe = self.workers[receiver].observe_remote
                 for e in vertex.batch.entries:
-                    self._observe_remote(receiver, e.digest, t)
+                    loi, fresh = observe(e.digest)
+                    if fresh:
+                        self.trace.append(
+                            {"ev": "tx_received", "t": t, "replica": receiver,
+                             "tx": e.digest, "loi": loi, "src": "batch"}
+                        )
             back = self._delay(receiver, vertex.author, "attest", vertex.round)
             self._post(t + back, "attest", (vid, receiver))
         elif kind == "attest":
@@ -444,5 +440,4 @@ class Simulator:
             self.injected,
             self.injection_time,
             self.emit_time,
-            self.now,
         )

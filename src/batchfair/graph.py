@@ -13,11 +13,12 @@ is missing, phase 3 also linearizes the retained SCCs into the subdag's final
 order; otherwise it returns the truncated graph, which the coordinator
 (pipeline.py) parks until votes resolve its missing edges.
 
-Phase 1 is the step a process pool runs, so what crosses the process
-boundary is small: index lists in, a flat ``array('I')`` out, which pickles
-as raw bytes (the workers build no ndarray). Phase 2 views it as an m x m
-matrix without copying. From phase 2 on, ``DepGraph.adj`` is a boolean
-ndarray whose vertices ascend by digest.
+Phase 1 is the step a process pool runs (``weight_counts``), so what
+crosses the process boundary is small: the admitted count and index lists
+in, a flat ``array('I')`` out, which pickles as raw bytes (the workers build
+no ndarray and see no digest). Phase 2 views it as an m x m matrix without
+copying. From phase 2 on, ``DepGraph.adj`` is a boolean ndarray whose
+vertices ascend by digest.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and phase 2's filter
@@ -167,18 +168,23 @@ def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
 # -- Phase 1 ------------------------------------------------------------------
 
 
-def phase1_weights(snapshot: Snapshot) -> WeightReport:
-    """Pairwise weight matrix: an integer kernel over the index orders.
-
-    Pure function of the snapshot: no shared-state reads, rerunnable.
-    """
-    m = len(snapshot.admitted)
+def weight_counts(m: int, orders: dict[int, list[int]]) -> array:
+    """The integer kernel: flat m*m pair counts over index orders."""
     weights = array("I", bytes(4 * m * m))
-    for fi in snapshot.orders.values():
+    for fi in orders.values():
         for a, i in enumerate(fi):
             base = i * m
             for j in fi[a + 1:]:
                 weights[base + j] += 1
+    return weights
+
+
+def phase1_weights(snapshot: Snapshot) -> WeightReport:
+    """Pairwise weight matrix of a snapshot.
+
+    Pure function of the snapshot: no shared-state reads, rerunnable.
+    """
+    weights = weight_counts(len(snapshot.admitted), snapshot.orders)
     return WeightReport(snapshot.r, snapshot.admitted, snapshot.solid, weights)
 
 

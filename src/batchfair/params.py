@@ -85,6 +85,10 @@ class SimConfig:
     base DAG's rule) keeps the DAG connected when f is small; at f=0 the
     quorum alone collapses to one vertex and the DAG would degenerate into
     disconnected per-replica chains.
+
+    ``batch_wire`` is "" (batches stay objects) or "binary" (each sealed
+    batch is encoded and decoded before it is proposed). It stays a string
+    because ``to_dict()`` feeds the report hash.
     """
 
     n: int
@@ -97,7 +101,7 @@ class SimConfig:
     delay_min: int = 1
     delay_max: int = 6
     self_reference: bool = True  # ablation switch; correct replicas self-ref
-    batch_wire: str = ""  # "", "json" or "binary": round-trip every batch on the wire
+    batch_wire: str = ""  # "binary": round-trip every batch through the wire format
     task_slots: int = 4  # concurrent fairness task slots for replays
 
     def __post_init__(self) -> None:
@@ -108,7 +112,7 @@ class SimConfig:
             raise ConfigError(f"wave_len must be >= 2, got {self.wave_len}")
         if self.delivery_model not in ("uniform", "lockstep"):
             raise ConfigError(f"unknown delivery model {self.delivery_model!r}")
-        if self.batch_wire not in ("", "json", "binary"):
+        if self.batch_wire not in ("", "binary"):
             raise ConfigError(f"unknown batch wire format {self.batch_wire!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")

@@ -21,10 +21,10 @@ The vote tally scans author prefixes from n-f upward and keeps the minimal
 sufficient prefix, so the outcome does not depend on how many extra votes
 happen to be buffered when a tally runs. A process pool (not threads) does
 the parallel work because the phase-1 kernel is pure Python and the GIL
-serializes threads. A task ships the admitted digests once and every
-author's order as integer indices into them, and its result stays a flat
-``array('I')``, so the workers never build an ndarray and the result pickles
-as raw bytes.
+serializes threads. A task ships the admitted count and every author's
+order as integer indices, and its result is the flat ``array('I')`` of
+counts alone: no digest crosses the pool in either direction, and the
+coordinator rebuilds the ``WeightReport`` from its own snapshot.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .graph import (
     phase1_weights,
     phase2_build_graph,
     phase3_anchor,
+    weight_counts,
 )
 from .params import edge_threshold
 from .types import CommitRecord, FinalOrder
@@ -57,11 +58,11 @@ class PipelineResult:
     diagnostics: list[dict]
 
 
-def _weights_task(snapshot: Snapshot) -> tuple:
-    """Phase 1 and its CPU time; module level so it pickles for the pool."""
+def _weights_task(m: int, orders: dict[int, list[int]]) -> tuple:
+    """Phase-1 counts and their CPU time; module level so it pickles for the pool."""
     t0 = perf_counter_ns()
-    report = phase1_weights(snapshot)
-    return report, perf_counter_ns() - t0
+    weights = weight_counts(m, orders)
+    return weights, perf_counter_ns() - t0
 
 
 class FairnessPipeline:
@@ -119,8 +120,9 @@ class FairnessPipeline:
         snap = extract_snapshot(self.state, record)
         return snap, perf_counter_ns() - t0
 
-    def _land(self, r: int, extract_ns: int, report: WeightReport, weights_ns: int) -> None:
+    def _land(self, report: WeightReport, extract_ns: int, weights_ns: int) -> None:
         """Phases 2-4, FairPropose, the tally and Emit for one subdag, in commit order."""
+        r = report.r
         t0 = perf_counter_ns()
         graph = phase2_build_graph(report, self.state.proposed, self.tau)
         t1 = perf_counter_ns()
@@ -177,8 +179,9 @@ class FairnessPipeline:
         self.now = now
         self._route(record)
         snap, extract_ns = self._extract(record)
-        report, weights_ns = _weights_task(snap)
-        self._land(record.r, extract_ns, report, weights_ns)
+        t0 = perf_counter_ns()
+        report = phase1_weights(snap)
+        self._land(report, extract_ns, perf_counter_ns() - t0)
 
     def finish(self) -> PipelineResult:
         return PipelineResult(
@@ -207,18 +210,20 @@ class FairnessPipeline:
         own_pool = pool is None
         if own_pool:
             pool = ProcessPoolExecutor(max_workers=slots)
-        inflight: deque[tuple[int, int, Future]] = deque()
+        inflight: deque[tuple[Snapshot, int, Future]] = deque()
 
         def land_oldest() -> None:
-            r, extract_ns, fut = inflight.popleft()
-            self._land(r, extract_ns, *fut.result())
+            snap, extract_ns, fut = inflight.popleft()
+            weights, weights_ns = fut.result()
+            report = WeightReport(snap.r, snap.admitted, snap.solid, weights)
+            self._land(report, extract_ns, weights_ns)
 
         try:
             for rec in records:
                 self._route(rec)
                 snap, extract_ns = self._extract(rec)
-                fut = pool.submit(_weights_task, snap)
-                inflight.append((snap.r, extract_ns, fut))
+                fut = pool.submit(_weights_task, len(snap.admitted), snap.orders)
+                inflight.append((snap, extract_ns, fut))
                 if len(inflight) >= max(1, slots):
                     land_oldest()
             while inflight:

@@ -1,11 +1,6 @@
 import random
 
-from batchfair.baselines import (
-    DodModel,
-    FairDagModel,
-    dod_bug1_divergence,
-    dod_bug2_inflation,
-)
+from batchfair.baselines import DodModel, FairDagModel
 from batchfair.scenarios import build_scenario
 
 
@@ -103,17 +98,6 @@ def test_same_round_everywhere_no_missing_pair_modes_identical():
     for report in (buggy, patched):
         assert not report.missing and not report.stalled
         assert report.executed == [1]
-
-
-def test_bug1_weight_divergence_vignette():
-    out = dod_bug1_divergence()
-    assert out["diverged"] and out["x"] != out["y"]
-
-
-def test_bug2_inflation_vignette():
-    out = dod_bug2_inflation(5, 1, 1)
-    assert out["spurious_cross"]
-    assert out["inflated"] >= out["threshold"] > out["genuine"]
 
 
 def test_shipped_scenarios_carry_exact_parameterizations():

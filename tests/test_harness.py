@@ -125,6 +125,12 @@ def test_three_field_client_item_is_config_error(tmp_path):
         load_doc(tmp_path, clients={"kind": "items", "items": items})
 
 
+def test_json_batch_wire_is_config_error(tmp_path):
+    assert load_doc(tmp_path, batch_wire="binary").config.batch_wire == "binary"
+    with pytest.raises(ConfigError, match="unknown batch wire format 'json'"):
+        load_doc(tmp_path, batch_wire="json")
+
+
 def test_sweep_marks_infeasible_cells_skipped(tmp_path):
     out = tmp_path / "sweep.csv"
     rows = sweep({"n": [5, 4], "f": [1], "gamma": ["1"], "txs": [20]}, [1], out)

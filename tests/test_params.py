@@ -60,6 +60,9 @@ def test_simconfig_validation():
         SimConfig(n=5, f=1, gamma="1/2")
     with pytest.raises(ConfigError):
         SimConfig(n=5, f=1, gamma=1, delivery_model="carrier-pigeon")
+    with pytest.raises(ConfigError, match="unknown batch wire format 'json'"):
+        SimConfig(n=5, f=1, gamma=1, batch_wire="json")
+    assert SimConfig(n=5, f=1, gamma=1, batch_wire="binary").batch_wire == "binary"
     round_trip = SimConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
 

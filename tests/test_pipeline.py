@@ -46,18 +46,31 @@ def test_concurrent_replay_matches_in_loop_with_parked_graphs(pool):
 
 
 class CountingExecutor:
-    """Delegates to a real pool and records the function and the arguments
-    of every submit."""
+    """Delegates to a real pool and records the function, the arguments and
+    the future of every submit."""
 
     def __init__(self, pool):
         self._pool = pool
         self.submitted = []
         self.args = []
+        self.futures = []
 
     def submit(self, fn, *args, **kwargs):
         self.submitted.append(fn)
         self.args.append(args)
-        return self._pool.submit(fn, *args, **kwargs)
+        self.futures.append(self._pool.submit(fn, *args, **kwargs))
+        return self.futures[-1]
+
+
+def _strings(obj) -> list:
+    """Every str inside nested tuples, lists, dicts and sets."""
+    if isinstance(obj, str):
+        return [obj]
+    if isinstance(obj, dict):
+        return _strings(list(obj.items()))
+    if isinstance(obj, (tuple, list, set, frozenset)):
+        return [s for item in obj for s in _strings(item)]
+    return []
 
 
 def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
@@ -69,13 +82,16 @@ def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
     )
     assert counting.submitted == [_weights_task] * len(res.records)
     assert conc.emitted == res.pipeline.emitted
-    # each task ships one snapshot whose per-author orders are integer indices
-    snapshots = [snap for (snap,) in counting.args]
-    assert [snap.r for snap in snapshots] == [rec.r for rec in res.records]
-    assert any(snap.orders for snap in snapshots)
-    for snap in snapshots:
-        for order in snap.orders.values():
-            assert all(type(i) is int and 0 <= i < len(snap.admitted) for i in order)
+    # each task ships the admitted count and per-author integer index orders
+    assert any(orders for _, orders in counting.args)
+    for m, orders in counting.args:
+        assert type(m) is int
+        for order in orders.values():
+            assert all(type(i) is int and 0 <= i < m for i in order)
+    # no digest crosses the pool in either direction
+    results = [fut.result() for fut in counting.futures]
+    assert _strings(counting.args) == [] and _strings(results) == []
+    assert [len(weights) for weights, _ in results] == [m * m for m, _ in counting.args]
 
 
 def count_calls(monkeypatch, module, name) -> list:

@@ -1,10 +1,9 @@
-import json
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchfair.types import DIRECT, INDIRECT, Batch, tx_digest
+from batchfair.types import DIRECT, INDIRECT, Batch, Entry, FairUpdateVote, tx_digest
 from batchfair.worker import WireError, WorkerState, decode_batch, encode_batch
 
 
@@ -16,7 +15,7 @@ def make_worker(reverse=False) -> WorkerState:
     return WorkerState(0, reverse_order=reverse)
 
 
-# -- LOI tracker -----------------------------------------------------------------
+# -- LOI table -------------------------------------------------------------------
 
 
 def test_loi_counter_base_and_increment():
@@ -29,7 +28,7 @@ def test_loi_idempotent_reobservation():
     w = make_worker()
     assert w.observe_client("a", d("a")) == (0, True)
     assert w.observe_client("a", d("a")) == (0, False)
-    assert w.tracker.next_loi == 1
+    assert w.lois == {d("a"): 0}
 
 
 def test_same_loi_for_remote_then_client_path():
@@ -44,12 +43,12 @@ def test_loi_bijection_gapless(ids):
     w = make_worker()
     for i in ids:
         w.observe_client(f"tx{i}", d(f"tx{i}"))
-    lois = [w.tracker.loi_of(d(f"tx{i}")) for i in sorted(set(ids))]
+    lois = [w.lois[d(f"tx{i}")] for i in sorted(set(ids))]
     assert sorted(lois) == list(range(len(set(ids))))
     # observation order matches assignment order
     first_seen = list(dict.fromkeys(d(f"tx{i}") for i in ids))
-    assert list(w.tracker.assignment) == first_seen
-    assert [w.tracker.loi_of(x) for x in first_seen] == list(range(len(set(ids))))
+    assert list(w.lois) == first_seen
+    assert [w.lois[x] for x in first_seen] == list(range(len(set(ids))))
 
 
 # -- batch assembly ---------------------------------------------------------------
@@ -115,7 +114,7 @@ def test_fair_propose_defers_unknown_endpoint():
     w.observe_client("a", d("a"))
     w.on_fair_propose(4, {(d("a"), d("c"))})
     assert w.vote_queue == []
-    assert w.edge_store.pending[4]
+    assert w.waiting[4] == ({d("c")}, [tuple(sorted((d("a"), d("c"))))])
 
 
 def test_deferred_pair_resolves_on_new_tx():
@@ -140,14 +139,14 @@ def test_two_subdags_pending_on_same_tx_both_release():
     # directional honesty: every edge goes small LOI -> large LOI
     for vote in w.vote_queue:
         for u, v in vote.edges:
-            assert w.tracker.loi_of(u) < w.tracker.loi_of(v)
+            assert w.lois[u] < w.lois[v]
 
 
 def test_unrelated_tx_is_noop_for_pending():
     w = make_worker()
     w.on_fair_propose(2, {(d("p"), d("q"))})
     w.observe_client("zzz", d("zzz"))
-    assert w.vote_queue == [] and w.edge_store.pending[2]
+    assert w.vote_queue == [] and w.waiting[2][0] == {d("p"), d("q")}
 
 
 def test_duplicate_fair_propose_rejected():
@@ -169,7 +168,132 @@ def test_vote_covers_complete_missing_set():
     assert covered == {tuple(sorted(p)) for p in missing}
 
 
-# -- wire formats ----------------------------------------------------------------------
+# -- equivalence with the per-pair Algorithm-1 worker ------------------------------------
+
+
+class ReferenceWorker:
+    """Algorithm 1 pair by pair: each missing pair waits on its own, every
+    first sighting retries the waiting pairs it touches, and a subdag's vote
+    goes out once none of its pairs waits. Kept here to pin WorkerState's
+    wait sets to it."""
+
+    def __init__(self, replica: int, reverse_order: bool = False) -> None:
+        self.replica = replica
+        self.reverse_order = reverse_order
+        self.assignment: dict[str, int] = {}
+        self.pending: dict[int, set[tuple[str, str]]] = {}
+        self.resolved: dict[int, dict[tuple[str, str], tuple[str, str]]] = {}
+        self.proposed: set[int] = set()
+        self.entry_queue: list[Entry] = []
+        self.vote_queue: list[FairUpdateVote] = []
+        self.seq = 0
+        self.vote_cb = None
+
+    def _record(self, digest, make_entry):
+        if digest in self.assignment:
+            return self.assignment[digest], False
+        loi = self.assignment[digest] = len(self.assignment)
+        self.entry_queue.append(make_entry(loi))
+        for r in sorted(self.pending):
+            hits = [p for p in self.pending[r] if digest in p]
+            for pair in hits:
+                self._try_resolve(r, pair)
+            if hits:
+                self._maybe_release(r)
+        return loi, True
+
+    def observe_client(self, body, digest):
+        return self._record(digest, lambda loi: Entry(DIRECT, digest, loi, body))
+
+    def observe_remote(self, digest):
+        return self._record(digest, lambda loi: Entry(INDIRECT, digest, loi))
+
+    def on_fair_propose(self, r, missing):
+        if r in self.proposed:
+            raise ValueError(f"duplicate FairPropose for subdag {r}")
+        self.proposed.add(r)
+        self.pending[r] = set()
+        self.resolved[r] = {}
+        for u, v in missing:
+            self._try_resolve(r, (u, v) if u <= v else (v, u))
+        self._maybe_release(r)
+
+    def _try_resolve(self, r, pair):
+        u, v = pair
+        if u in self.assignment and v in self.assignment:
+            lu, lv = self.assignment[u], self.assignment[v]
+            self.resolved[r][pair] = (u, v) if lu < lv else (v, u)
+            self.pending[r].discard(pair)
+        else:
+            self.pending[r].add(pair)
+
+    def _maybe_release(self, r):
+        if r in self.pending and not self.pending[r]:
+            edges = tuple(self.resolved[r][p] for p in sorted(self.resolved[r]))
+            vote = FairUpdateVote(self.replica, r, edges)
+            self.vote_queue.append(vote)
+            del self.pending[r]
+            del self.resolved[r]
+            if self.vote_cb is not None:
+                self.vote_cb(self.replica, vote)
+
+    def build_batch(self):
+        entries = sorted(self.entry_queue, key=lambda e: e.loi)
+        if self.reverse_order:
+            entries.reverse()
+        batch = Batch(self.replica, self.seq, tuple(entries), tuple(self.vote_queue))
+        self.seq += 1
+        self.entry_queue = []
+        self.vote_queue = []
+        return batch
+
+
+TXS = [f"t{i}" for i in range(5)]  # few digests, so wait sets overlap
+PAIRS = st.lists(
+    st.tuples(st.sampled_from(TXS), st.sampled_from(TXS)).filter(lambda p: p[0] != p[1]),
+    max_size=5,
+)  # either orientation, duplicates and reversed duplicates included
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("client"), st.sampled_from(TXS)),
+        st.tuples(st.just("remote"), st.sampled_from(TXS)),
+        st.tuples(st.just("propose"), st.integers(0, 6), PAIRS),
+        st.tuples(st.just("build")),
+    ),
+    min_size=10,
+    max_size=50,
+)
+
+
+def _drive(worker, ops) -> list:
+    log = []
+    worker.vote_cb = lambda replica, vote: log.append(("vote", replica, vote))
+    for op in ops:
+        if op[0] == "client":
+            log.append(("obs", worker.observe_client(op[1], d(op[1]))))
+        elif op[0] == "remote":
+            log.append(("obs", worker.observe_remote(d(op[1]))))
+        elif op[0] == "propose":
+            try:
+                worker.on_fair_propose(op[1], {(d(u), d(v)) for u, v in op[2]})
+            except ValueError as exc:
+                log.append(("rejected", str(exc)))
+        else:
+            log.append(("batch", worker.build_batch()))
+    log.append(("batch", worker.build_batch()))
+    return log
+
+
+@settings(max_examples=300)
+@given(ops=OPS, reverse=st.booleans())
+def test_wait_sets_match_per_pair_reference(ops, reverse):
+    w, ref = WorkerState(3, reverse), ReferenceWorker(3, reverse)
+    assert _drive(w, ops) == _drive(ref, ops)
+    assert list(w.lois.items()) == list(ref.assignment.items())
+    assert set(w.waiting) == set(ref.pending)
+
+
+# -- wire format -----------------------------------------------------------------------
 
 
 def _example_batch():
@@ -181,18 +305,15 @@ def _example_batch():
     return w.build_batch()
 
 
-@pytest.mark.parametrize("fmt", ["json", "binary"])
+@pytest.mark.parametrize("fmt", ["binary"])  # the one wire format
 def test_batch_wire_round_trip(fmt):
     batch = _example_batch()
     assert batch.votes and batch.entries  # both payload kinds present
-    wire = encode_batch(batch, fmt)
-    assert decode_batch(wire, fmt) == batch
+    assert decode_batch(encode_batch(batch)) == batch
 
 
 def test_binary_wire_is_length_prefixed():
-    import struct
-
-    wire = encode_batch(_example_batch(), "binary")
+    wire = encode_batch(_example_batch())
     (length,) = struct.unpack_from("<I", wire, 0)
     assert length == len(wire) - 4
 
@@ -200,10 +321,9 @@ def test_binary_wire_is_length_prefixed():
 @settings(max_examples=40)
 @given(
     names=st.lists(st.text(alphabet="abcdef", min_size=1, max_size=6), min_size=0, max_size=12),
-    fmt=st.sampled_from(["json", "binary"]),
     reverse=st.booleans(),
 )
-def test_wire_round_trip_property(names, fmt, reverse):
+def test_wire_round_trip_property(names, reverse):
     w = make_worker(reverse=reverse)
     for i, name in enumerate(names):
         if i % 3 == 2:
@@ -211,82 +331,52 @@ def test_wire_round_trip_property(names, fmt, reverse):
         else:
             w.observe_client(name, d(name))
     batch = w.build_batch()
-    assert decode_batch(encode_batch(batch, fmt), fmt) == batch
-
-
-def _json_with(path, value):
-    doc = json.loads(encode_batch(_example_batch(), "json"))
-    *outer, last = path
-    node = doc
-    for key in outer:
-        node = node[key]
-    node[last] = value
-    return json.dumps(doc).encode()
+    assert decode_batch(encode_batch(batch)) == batch
 
 
 @pytest.mark.parametrize(
     "fmt, wire",
     [
-        ("binary", encode_batch(_example_batch(), "binary")[:-3]),
-        ("binary", encode_batch(_example_batch(), "binary")[:3]),
-        ("json", b'{"author": 0, "seq": 0, "votes": []}'),
-        ("json", b'{"author": 0, "seq": 0, "entries": []}'),
-        ("json", b"\xff"),
+        ("binary", encode_batch(_example_batch())[:-3]),
+        ("binary", encode_batch(_example_batch())[:3]),
     ],
 )
 def test_decode_batch_rejects_truncated_or_incomplete_input(fmt, wire):
     with pytest.raises(WireError):
-        decode_batch(wire, fmt)
+        decode_batch(wire)
 
 
 def test_binary_decode_rejects_trailing_bytes_inside_declared_length():
-    wire = encode_batch(_example_batch(), "binary")
+    wire = encode_batch(_example_batch())
     padded = struct.pack("<I", len(wire) - 4 + 2) + wire[4:] + b"\0\0"
     with pytest.raises(WireError):
-        decode_batch(padded, "binary")
+        decode_batch(padded)
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=8,
-)
-JSON_PATHS = st.sampled_from(
-    [("author",), ("seq",), ("entries",), ("votes",), ("entries", 0), ("entries", 0, 0),
-     ("entries", 0, 2), ("entries", 0, 3), ("votes", 0), ("votes", 0, "r"),
-     ("votes", 0, "edges"), ("votes", 0, "edges", 0)]
-)
-
-
-def _mangled(fmt):
-    wire = encode_batch(_example_batch(), fmt)
+def _mangled():
+    wire = encode_batch(_example_batch())
     n = len(wire)
 
-    def with_tail(extra):
-        if fmt == "binary":  # keep the length prefix honest so the tail is inside it
-            return struct.pack("<I", n - 4 + len(extra)) + wire[4:] + extra
-        return wire + extra
+    def with_tail(extra):  # keep the length prefix honest so the tail is inside it
+        return struct.pack("<I", n - 4 + len(extra)) + wire[4:] + extra
 
-    strategies = [
+    return st.one_of(
         st.binary(max_size=200),
         st.integers(0, n - 1).map(lambda k: wire[:k]),
         st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
             lambda t: wire[: t[0]] + bytes([t[1]]) + wire[t[0] + 1 :]
         ),
         st.binary(min_size=1, max_size=8).map(with_tail),
-    ]
-    if fmt == "json":
-        strategies.append(st.builds(_json_with, JSON_PATHS, JSON_VALUES))
-    return st.one_of(strategies)
+    )
 
 
 @settings(max_examples=300)
-@given(data=st.data(), fmt=st.sampled_from(["json", "binary"]))
-def test_decode_batch_yields_a_valid_batch_or_wire_error(data, fmt):
-    wire = data.draw(_mangled(fmt))
+@given(data=st.data())
+def test_decode_batch_yields_a_valid_batch_or_wire_error(data):
+    wire = data.draw(_mangled())
     try:
-        batch = decode_batch(wire, fmt)
+        batch = decode_batch(wire)
     except WireError:
         return
     assert isinstance(batch, Batch)
-    assert decode_batch(encode_batch(batch, fmt), fmt) == batch
+    assert decode_batch(encode_batch(batch)) == batch

@@ -146,6 +146,32 @@ def test_determinism_bit_identical_traces():
     assert a.pipeline.emitted == b.pipeline.emitted
 
 
+def test_round_stalls_when_no_replica_becomes_ready():
+    sim = Simulator(SimConfig(n=5, f=1, gamma=1, seed=7, max_rounds=6))
+    sim.advance_round()
+    sim.heap.clear()  # the round-0 certificates are never delivered
+    with pytest.raises(ConfigError) as err:
+        sim.advance_round()
+    assert str(err.value) == "round 1 stalled: replicas [0, 1, 2, 3, 4] never became ready"
+
+
+def test_round_stalls_when_certificates_never_form():
+    sim = Simulator(SimConfig(n=5, f=1, gamma=1, seed=7, max_rounds=6))
+    handle = sim._handle
+
+    def drop_attestations(t, kind, data):
+        if kind != "attest":
+            handle(t, kind, data)
+
+    sim._handle = drop_attestations
+    with pytest.raises(ConfigError) as err:
+        sim.advance_round()
+    assert str(err.value) == (
+        "round 0 certificates never formed: "
+        "['r0000a000', 'r0000a001', 'r0000a002', 'r0000a003', 'r0000a004']"
+    )
+
+
 def test_infeasible_crash_schedule_rejected():
     cfg = SimConfig(n=5, f=1, gamma=1, seed=1, max_rounds=6)
     too_many = FaultSchedule([FaultDirective(0, SILENT_CRASH, 2),

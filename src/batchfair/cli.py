@@ -17,8 +17,8 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--config", help="path to a scenario JSON document")
     p.add_argument("--serial", action="store_true",
                    help="run the fairness layer strictly serially")
-    p.add_argument("--threads", type=int, default=4, metavar="K",
-                   help="concurrent fairness task slots (default 4)")
+    p.add_argument("--threads", type=int, metavar="K",
+                   help="concurrent fairness task slots (default: the config's task_slots)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="DIR", help="write trace/report/CSV artifacts")
     p.add_argument("--trace", choices=("on", "off"), default="on")

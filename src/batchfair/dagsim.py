@@ -4,8 +4,9 @@ Rounds follow the barrier model: advance_round pumps the message queue until
 every live replica can propose (holds a quorum of previous-round certificates
 and, under the self-referencing rule, its own), creates the round's vertices
 at each replica's individual readiness time, and completes once the round's
-certificates have formed. try_commit elects wave leaders with a seeded coin
-and commits a leader once f+1 next-round vertices reference it.
+certificates have formed. try_commit elects wave leaders with a seeded coin,
+commits a leader once f+1 next-round vertices reference it, and hands each
+committed subdag to the in-loop fairness pipeline.
 
 Everything is driven by one event heap keyed (time, seq); all randomness
 comes from generators seeded from the run seed, so identical configs produce
@@ -90,32 +91,27 @@ class Simulator:
             {} for _ in range(config.n)
         ]
         self.attestors: dict[str, set[int]] = {}
-        self.certified: set[str] = set()
 
         # event machinery
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
         self.now = 0
         self.round = 0  # next round to propose
-        self.proposed: dict[int, set[int]] = {}  # round -> authors
-        self.ready_at: dict[tuple[int, int], int] = {}  # (replica, round) -> time
+        # (replica, round) -> time; every replica may propose genesis at 0
+        self.ready_at: dict[tuple[int, int], int] = {(i, 0): 0 for i in range(config.n)}
         self.crash_time: dict[int, int] = {
             i: -1 for i, r in self.crash_round.items() if r <= 0
         }
 
         # commit state
         self.committed_vids: set[str] = set()
-        self.commit_seq = 0
-        self.commit_time: dict[int, int] = {}
-        self.checked_waves: set[int] = set()
-        self.records: list[CommitRecord] = []
+        self.next_wave = 1  # waves below it have been checked
+        self.records: list[CommitRecord] = []  # subdag r is records[r - 1]
 
         # client bookkeeping
         self.client_plan = self.clients.by_replica_round()
-        self.injected: list[str] = []
-        self.injection_time: dict[str, int] = {}
+        self.injection_time: dict[str, int] = {}  # in first-injection order
         self.emit_time: dict[int, int] = {}
-        self._emitted_seen = 0
 
     # -- helpers -----------------------------------------------------------------
 
@@ -163,17 +159,14 @@ class Simulator:
     def _broadcast_fair_propose(self, r: int, missing: set) -> None:
         # the fairness processor of every live replica parks the same graph;
         # each local worker resolves against its own LOI table
-        t = self.pipeline.now
+        self.now = self.pipeline.now
         for i in range(self.cfg.n):
-            if self._alive(i, t):
-                self.now = t
+            if self._alive(i, self.now):
                 self.workers[i].on_fair_propose(r, missing)
 
     def _observe_client(self, replica: int, body: str, t: int) -> None:
         digest = tx_digest(body)
-        if digest not in self.injection_time:
-            self.injected.append(digest)
-            self.injection_time[digest] = t
+        self.injection_time.setdefault(digest, t)
         self.now = t
         loi, fresh = self.workers[replica].observe_client(body, digest)
         if fresh:
@@ -204,7 +197,6 @@ class Simulator:
         vertex = Vertex(replica, round_, vid, parents, batch)
         self.by_round.setdefault(round_, {})[replica] = vertex
         self.vertex_time[vid] = t
-        self.proposed.setdefault(round_, set()).add(replica)
         self.trace.append(
             {
                 "ev": "vertex_created",
@@ -225,7 +217,7 @@ class Simulator:
         self._maybe_certify(vertex, t)
         for j in range(cfg.n):
             if j != replica:
-                self._post(t + self._delay(replica, j, "vertex", round_), "vertex", (vid, j))
+                self._post(t + self._delay(replica, j, "vertex", round_), "vertex", (vertex, j))
         # a quorum may already be on hand (e.g. this proposal was delayed past
         # the certificates of its own round), so re-check readiness now
         self._note_ready(replica, round_ + 1, t)
@@ -235,35 +227,31 @@ class Simulator:
             self.crash_time[replica] = t
 
     def _maybe_certify(self, vertex: Vertex, t: int) -> None:
-        if vertex.vid in self.certified:
+        certs = self.certs.setdefault(vertex.round, {})
+        attestors = self.attestors[vertex.vid]
+        if vertex.author in certs or len(attestors) < self.cfg.quorum:
             return
-        if len(self.attestors[vertex.vid]) >= self.cfg.quorum:
-            cert = Certificate(
-                vertex.vid, vertex.round, vertex.author,
-                frozenset(self.attestors[vertex.vid]),
-            )
-            self.certified.add(vertex.vid)
-            self.certs.setdefault(vertex.round, {})[vertex.author] = cert
-            self.trace.append(
-                {
-                    "ev": "certificate_formed",
-                    "t": t,
-                    "replica": vertex.author,
-                    "round": vertex.round,
-                    "vid": vertex.vid,
-                    "attestors": sorted(cert.attestors),
-                }
-            )
-            for j in range(self.cfg.n):
-                d = self._delay(vertex.author, j, "cert", vertex.round)
-                self._post(t + d, "cert", (cert, j))
+        cert = Certificate(vertex.vid, vertex.round, vertex.author, frozenset(attestors))
+        certs[vertex.author] = cert
+        self.trace.append(
+            {
+                "ev": "certificate_formed",
+                "t": t,
+                "replica": vertex.author,
+                "round": vertex.round,
+                "vid": vertex.vid,
+                "attestors": sorted(cert.attestors),
+            }
+        )
+        for j in range(self.cfg.n):
+            d = self._delay(vertex.author, j, "cert", vertex.round)
+            self._post(t + d, "cert", (cert, j))
 
     def _handle(self, t: int, kind: str, data: tuple) -> None:
         if kind == "vertex":
-            vid, receiver = data
+            vertex, receiver = data
             if not self._alive(receiver, t):
                 return
-            vertex = self.by_round[int(vid[1:5])][int(vid[6:9])]
             if vertex.batch is not None:
                 observe = self.workers[receiver].observe_remote
                 for e in vertex.batch.entries:
@@ -274,13 +262,12 @@ class Simulator:
                              "tx": e.digest, "loi": loi, "src": "batch"}
                         )
             back = self._delay(receiver, vertex.author, "attest", vertex.round)
-            self._post(t + back, "attest", (vid, receiver))
+            self._post(t + back, "attest", (vertex, receiver))
         elif kind == "attest":
-            vid, attestor = data
-            vertex = self.by_round[int(vid[1:5])][int(vid[6:9])]
+            vertex, attestor = data
             if not self._alive(vertex.author, t):
                 return
-            self.attestors[vid].add(attestor)
+            self.attestors[vertex.vid].add(attestor)
             self._maybe_certify(vertex, t)
         elif kind == "cert":
             cert, receiver = data
@@ -292,7 +279,7 @@ class Simulator:
     def _note_ready(self, replica: int, round_: int, t: int) -> None:
         if (replica, round_) in self.ready_at:
             return
-        if replica not in self.proposed.get(round_ - 1, ()):
+        if replica not in self.by_round.get(round_ - 1, ()):
             return
         held = self.held[replica].get(round_ - 1, {})
         if len(held) < self.cfg.readiness:
@@ -301,57 +288,50 @@ class Simulator:
             return
         self.ready_at[(replica, round_)] = t
 
+    def _pump(self, done, stalled) -> None:
+        """Handle queued events in (time, seq) order until done() holds; if the
+        queue runs dry first, fail with the text stalled() returns."""
+        while not done():
+            if not self.heap:
+                raise ConfigError(stalled())
+            t, _, kind, data = heapq.heappop(self.heap)
+            self.now = t
+            self._handle(t, kind, data)
+
     # -- public operations ----------------------------------------------------------
 
     def advance_round(self) -> list[tuple[Vertex, Certificate]]:
         """Run one DAG round: every live replica proposes once its quorum of
         previous-round certificates (self-reference included) is in; returns
         the round's (vertex, certificate) pairs once certificates formed."""
-        cfg = self.cfg
         r = self.round
         live = self._live_set(r)
-        if r == 0:
-            for i in live:
-                self._propose(i, 0, 0)
-        else:
-            pending = set(live)
-            for i in list(pending):
+        lockstep = self.cfg.delivery_model == "lockstep"
+        pending = set(live)
+
+        def propose_ready() -> bool:
+            for i in sorted(pending):
                 at = self.ready_at.get((i, r))
                 if at is not None:
-                    self._propose(i, r, max(at, r) if cfg.delivery_model == "lockstep" else at)
+                    self._propose(i, r, max(at, r) if lockstep else at)
                     pending.discard(i)
-            while pending:
-                if not self.heap:
-                    raise ConfigError(
-                        f"round {r} stalled: replicas {sorted(pending)} never became ready"
-                    )
-                t, _, kind, data = heapq.heappop(self.heap)
-                self.now = t
-                self._handle(t, kind, data)
-                for i in list(pending):
-                    at = self.ready_at.get((i, r))
-                    if at is not None:
-                        self._propose(i, r, max(at, r) if cfg.delivery_model == "lockstep" else at)
-                        pending.discard(i)
+            return not pending
+
+        self._pump(
+            propose_ready,
+            lambda: f"round {r} stalled: replicas {sorted(pending)} never became ready",
+        )
         # pump until this round's certificates form; a replica that dies right
         # after proposing cannot assemble its own certificate, so don't wait
-        want = {
-            vertex_id(r, i) for i in live
-            if self.crash_round.get(i, 1 << 30) > r + 1
-        }
-        while not want <= self.certified:
-            if not self.heap:
-                missing = sorted(want - self.certified)
-                raise ConfigError(f"round {r} certificates never formed: {missing}")
-            t, _, kind, data = heapq.heappop(self.heap)
-            self.now = t
-            self._handle(t, kind, data)
+        want = {i for i in live if self.crash_round.get(i, 1 << 30) > r + 1}
+        certs = self.certs.setdefault(r, {})
+        self._pump(
+            lambda: want <= certs.keys(),
+            lambda: f"round {r} certificates never formed: "
+            f"{[vertex_id(r, i) for i in sorted(want - certs.keys())]}",
+        )
         self.round += 1
-        return [
-            (self.by_round[r][i], self.certs[r][i])
-            for i in live
-            if i in self.certs.get(r, {})
-        ]
+        return [(self.by_round[r][i], certs[i]) for i in live if i in certs]
 
     def _coin(self, wave: int) -> int:
         return random.Random(f"{self.cfg.seed}:coin:{wave}").randrange(self.cfg.n)
@@ -360,27 +340,22 @@ class Simulator:
         """Commit every unchecked wave whose leader got f+1 child references."""
         cfg = self.cfg
         out: list[CommitRecord] = []
-        wave = 1
         while True:
+            wave = self.next_wave
             leader_round = (wave - 1) * cfg.wave_len + 1
             if leader_round + 1 >= self.round:
                 break  # reference round not complete yet
-            if wave in self.checked_waves:
-                wave += 1
-                continue
-            self.checked_waves.add(wave)
+            self.next_wave += 1
             leader_author = self._coin(wave)
             leader = self.by_round.get(leader_round, {}).get(leader_author)
-            if leader is not None and leader.vid in self.certified:
+            if leader is not None and leader_author in self.certs.get(leader_round, {}):
                 children = sorted(
                     self.vertex_time[v.vid]
                     for v in self.by_round.get(leader_round + 1, {}).values()
                     if leader.vid in v.parents
                 )
                 if len(children) >= cfg.f + 1:
-                    commit_t = children[cfg.f]
-                    out.append(self._commit(leader, wave, commit_t))
-            wave += 1
+                    out.append(self._commit(leader, wave, children[cfg.f]))
         return out
 
     def _commit(self, leader: Vertex, wave: int, commit_t: int) -> CommitRecord:
@@ -397,14 +372,13 @@ class Simulator:
                 stack.append(parent)
         vertices = sorted(collected.values(), key=lambda v: (v.round, v.author))
         self.committed_vids.update(collected)
-        self.commit_seq += 1
-        self.commit_time[self.commit_seq] = commit_t
+        r = len(self.records) + 1
         self.trace.append(
             {
                 "ev": "subdag_committed",
                 "t": commit_t,
                 "replica": None,
-                "r": self.commit_seq,
+                "r": r,
                 "wave": wave,
                 "leader": leader.vid,
                 "vertices": [v.vid for v in vertices],
@@ -417,27 +391,27 @@ class Simulator:
             else:
                 entries = tuple((e.digest, e.loi) for e in v.batch.entries)
                 vrs.append(VertexRecord(v.author, v.round, v.vid, entries, v.batch.votes))
-        return CommitRecord(self.commit_seq, leader.vid, tuple(vrs))
+        record = CommitRecord(r, leader.vid, tuple(vrs))
+        self.records.append(record)
+        # the fairness layer costs no simulated time: whatever the subdag
+        # lets emit is stamped with its commit time
+        self.pipeline.on_commit(record, now=commit_t)
+        for order in self.pipeline.emitted[len(self.emit_time):]:
+            self.emit_time[order.r] = commit_t
+        return record
 
     # -- full run ---------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        cfg = self.cfg
-        while self.round <= cfg.max_rounds:
+        while self.round <= self.cfg.max_rounds:
             self.advance_round()
-            for record in self.try_commit():
-                commit_t = self.commit_time[record.r]
-                self.records.append(record)
-                self.pipeline.on_commit(record, now=commit_t)
-                for order in self.pipeline.emitted[self._emitted_seen:]:
-                    self.emit_time[order.r] = commit_t
-                self._emitted_seen = len(self.pipeline.emitted)
+            self.try_commit()
         return SimResult(
-            cfg,
+            self.cfg,
             self.trace,
             self.records,
             self.pipeline.finish(),
-            self.injected,
+            list(self.injection_time),
             self.injection_time,
             self.emit_time,
         )

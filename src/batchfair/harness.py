@@ -50,7 +50,6 @@ class RunReport:
     latency_p95: float
     dist_rows: list[dict] = field(default_factory=list)
     model_results: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -204,7 +203,6 @@ def execute_scenario(
         latency_mean=latency_mean,
         latency_p95=latency_p95,
         dist_rows=dist_rows,
-        diagnostics=res.pipeline.diagnostics,
     )
     return report, res
 

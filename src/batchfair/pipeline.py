@@ -55,7 +55,6 @@ class PipelineResult:
     emitted: list[FinalOrder]
     profiles: list[dict]
     parked_left: list[int]
-    diagnostics: list[dict]
 
 
 def _weights_task(m: int, orders: dict[int, list[int]]) -> tuple:
@@ -184,12 +183,7 @@ class FairnessPipeline:
         self._land(report, extract_ns, perf_counter_ns() - t0)
 
     def finish(self) -> PipelineResult:
-        return PipelineResult(
-            self.emitted,
-            self.profiles,
-            sorted(self.store.parked),
-            self.store.diagnostics,
-        )
+        return PipelineResult(self.emitted, self.profiles, sorted(self.store.parked))
 
     # -- replay drivers ------------------------------------------------------------
 

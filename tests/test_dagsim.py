@@ -111,7 +111,7 @@ def test_leader_commits_only_with_f_plus_one_references():
             )
     assert sim.try_commit() == []  # exactly f references: below threshold
     # restore one reference: f+1 reached, the wave commits
-    sim.checked_waves.discard(1)
+    sim.next_wave = 1
     restore = sorted(set(children) - set(keep))[0]
     v = sim.by_round[2][restore]
     sim.by_round[2][restore] = Vertex(

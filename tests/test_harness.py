@@ -13,6 +13,7 @@ from batchfair.harness import (
     sweep,
 )
 from batchfair.params import ConfigError
+from batchfair.pipeline import FairnessPipeline
 from batchfair.scenarios import build_scenario, scenario_names
 from batchfair.trace import RunTrace
 
@@ -182,6 +183,23 @@ def test_cli_run_exit_zero_and_prints_verdicts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "batch_order_fairness" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("threads,slots", [([], 2), (["--threads", "3"], 3)])
+def test_cli_run_takes_task_slots_from_config_unless_threads_given(
+    tmp_path, monkeypatch, threads, slots
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**BASE_DOC, "task_slots": 2}))
+    seen = []
+
+    def spy(self, records, slots=4, pool=None):
+        seen.append(slots)
+        return self.replay(records)
+
+    monkeypatch.setattr(FairnessPipeline, "replay_concurrent", spy)
+    assert cli_main(["run", "--config", str(path), *threads]) == 0
+    assert seen == [slots]
 
 
 def test_cli_scenarios_lists(capsys):

@@ -185,9 +185,9 @@ def test_cli_run_exit_zero_and_prints_verdicts(tmp_path, capsys):
     assert "batch_order_fairness" in out and "FAIL" not in out
 
 
-@pytest.mark.parametrize("threads,slots", [([], 2), (["--threads", "3"], 3)])
+@pytest.mark.parametrize("threads,expected", [([], 2), (["--threads", "3"], 3)])
 def test_cli_run_takes_task_slots_from_config_unless_threads_given(
-    tmp_path, monkeypatch, threads, slots
+    tmp_path, monkeypatch, threads, expected
 ):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**BASE_DOC, "task_slots": 2}))
@@ -199,7 +199,7 @@ def test_cli_run_takes_task_slots_from_config_unless_threads_given(
 
     monkeypatch.setattr(FairnessPipeline, "replay_concurrent", spy)
     assert cli_main(["run", "--config", str(path), *threads]) == 0
-    assert seen == [slots]
+    assert seen == [expected]
 
 
 def test_cli_scenarios_lists(capsys):

@@ -60,6 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         target = args.config or args.scenario
         if not target:
             parser.error("run needs --scenario or --config")
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
         reports = run_scenario(
             target,
             serial=args.serial,

@@ -87,9 +87,9 @@ class Simulator:
         self.by_round: dict[int, dict[int, Vertex]] = {}
         self.vertex_time: dict[str, int] = {}
         self.certs: dict[int, dict[int, Certificate]] = {}
-        self.held: list[dict[int, dict[int, Certificate]]] = [
-            {} for _ in range(config.n)
-        ]
+        # per replica, round -> authors of the certificates it holds; only
+        # rounds >= self.round - 1 are ever read again, so only those are kept
+        self.held: list[dict[int, set[int]]] = [{} for _ in range(config.n)]
         self.attestors: dict[str, set[int]] = {}
 
         # event machinery
@@ -183,16 +183,16 @@ class Simulator:
             self._observe_client(replica, body, t)
         if round_ == 0:
             batch = None
-            parents: frozenset[str] = frozenset()
+            parents: frozenset[int] = frozenset()
         else:
             batch = self.workers[replica].build_batch()
             if cfg.batch_wire:
                 batch = decode_batch(encode_batch(batch))
-            held = self.held[replica].get(round_ - 1, {})
+            held = self.held[replica].get(round_ - 1, set())
             assert len(held) >= cfg.quorum, "proposed without a quorum of parents"
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
-            parents = frozenset(c.vid for c in held.values())
+            parents = frozenset(held)
         vid = vertex_id(round_, replica)
         vertex = Vertex(replica, round_, vid, parents, batch)
         self.by_round.setdefault(round_, {})[replica] = vertex
@@ -204,7 +204,7 @@ class Simulator:
                 "replica": replica,
                 "round": round_,
                 "vid": vid,
-                "parents": sorted(parents),
+                "parents": sorted(vertex_id(round_ - 1, a) for a in parents),
                 "entries": [] if batch is None else [[e.kind, e.digest, e.loi] for e in batch.entries],
                 "votes": [] if batch is None else [
                     {"author": v.author, "r": v.target_r, "edges": [list(e) for e in v.edges]}
@@ -271,9 +271,9 @@ class Simulator:
             self._maybe_certify(vertex, t)
         elif kind == "cert":
             cert, receiver = data
-            if not self._alive(receiver, t):
+            if not self._alive(receiver, t) or cert.round < self.round - 1:
                 return
-            self.held[receiver].setdefault(cert.round, {})[cert.author] = cert
+            self.held[receiver].setdefault(cert.round, set()).add(cert.author)
             self._note_ready(receiver, cert.round + 1, t)
 
     def _note_ready(self, replica: int, round_: int, t: int) -> None:
@@ -281,7 +281,7 @@ class Simulator:
             return
         if replica not in self.by_round.get(round_ - 1, ()):
             return
-        held = self.held[replica].get(round_ - 1, {})
+        held = self.held[replica].get(round_ - 1, ())
         if len(held) < self.cfg.readiness:
             return
         if self.cfg.self_reference and replica not in held:
@@ -331,6 +331,8 @@ class Simulator:
             f"{[vertex_id(r, i) for i in sorted(want - certs.keys())]}",
         )
         self.round += 1
+        for held in self.held:
+            held.pop(r - 1, None)
         return [(self.by_round[r][i], certs[i]) for i in live if i in certs]
 
     def _coin(self, wave: int) -> int:
@@ -352,7 +354,7 @@ class Simulator:
                 children = sorted(
                     self.vertex_time[v.vid]
                     for v in self.by_round.get(leader_round + 1, {}).values()
-                    if leader.vid in v.parents
+                    if leader_author in v.parents
                 )
                 if len(children) >= cfg.f + 1:
                     out.append(self._commit(leader, wave, children[cfg.f]))
@@ -367,9 +369,7 @@ class Simulator:
             if v.vid in self.committed_vids or v.vid in collected:
                 continue
             collected[v.vid] = v
-            for pvid in sorted(v.parents):
-                parent = self.by_round[int(pvid[1:5])][int(pvid[6:9])]
-                stack.append(parent)
+            stack.extend(self.by_round[v.round - 1][a] for a in sorted(v.parents))
         vertices = sorted(collected.values(), key=lambda v: (v.round, v.author))
         self.committed_vids.update(collected)
         r = len(self.records) + 1

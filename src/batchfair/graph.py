@@ -16,9 +16,11 @@ order; otherwise it returns the truncated graph, which the coordinator
 Phase 1 is the step a process pool runs (``weight_counts``), so what
 crosses the process boundary is small: the admitted count and index lists
 in, a flat ``array('I')`` out, which pickles as raw bytes (the workers build
-no ndarray and see no digest). Phase 2 views it as an m x m matrix without
-copying. From phase 2 on, ``DepGraph.adj`` is a boolean ndarray whose
-vertices ascend by digest.
+no ndarray and see no digest). The counts land in ``Snapshot.weights``, and
+phase 2 views them as an m x m matrix without copying, cutting edges at
+``CumulativeState.tau_i``, the one integer threshold that admission and
+the vote tally use too. From phase 2 on, ``DepGraph.adj`` is a boolean
+ndarray whose vertices ascend by digest.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and phase 2's filter
@@ -52,29 +54,15 @@ class Snapshot:
     ``admitted`` holds the digests with support >= tau_i, ascending; ``solid``
     those among them with support >= tau_s. ``orders`` maps each author to
     its unclaimed admitted contributions, in contribution order, as indices
-    into ``admitted``.
+    into ``admitted``. Phase 1 fills ``weights``: weights[i*m + j] is the
+    number of orders placing admitted[i] before admitted[j].
     """
 
     r: int
     admitted: list[str]
     solid: frozenset[str]
     orders: dict[int, list[int]]
-
-
-@dataclass
-class WeightReport:
-    """Phase-1 output: the snapshot's support classes plus the cached
-    pairwise weight matrix.
-
-    ``weights`` is a flat m*m count matrix over ``admitted`` (sorted by
-    digest): weights[i*m + j] = number of snapshot orders placing admitted[i]
-    before admitted[j].
-    """
-
-    r: int
-    admitted: list[str]
-    solid: frozenset[str]
-    weights: array
+    weights: array | None = None
 
 
 @dataclass
@@ -95,7 +83,8 @@ class CumulativeState:
     contributions, first listing first. A digest leaves it only in
     apply_result, which adds it to ``proposed``; ingestion skips what is in
     either. Mutated only by extract_snapshot and apply_result, which run
-    serially in commit order.
+    serially in commit order. ``tau_i`` is the integer edge threshold that
+    admission, phase 2 and the vote tally all use.
     """
 
     def __init__(self, n: int, f: int, gamma) -> None:
@@ -105,7 +94,7 @@ class CumulativeState:
         self.proposed: set[str] = set()
         self.claims: dict[int, frozenset[str]] = {}
         self.last_extracted = 0
-        self.applied: set[int] = set()
+        self.last_applied = 0
 
     def _ingest(self, record: CommitRecord) -> None:
         for vr in record.vertices:
@@ -155,9 +144,11 @@ def extract_snapshot(state: CumulativeState, record: CommitRecord) -> Snapshot:
 
 def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
     """Promote a finished task's retained vertices and drop its claim."""
-    if r in state.applied:
-        raise ValueError(f"result for subdag {r} applied twice")
-    state.applied.add(r)
+    if r != state.last_applied + 1:
+        raise ValueError(
+            f"result for subdag {r} applied out of order (expected {state.last_applied + 1})"
+        )
+    state.last_applied = r
     state.proposed.update(k_set)
     for plist in state.pending.values():
         for d in k_set:
@@ -179,38 +170,38 @@ def weight_counts(m: int, orders: dict[int, list[int]]) -> array:
     return weights
 
 
-def phase1_weights(snapshot: Snapshot) -> WeightReport:
-    """Pairwise weight matrix of a snapshot.
+def phase1_weights(snapshot: Snapshot) -> Snapshot:
+    """Fill a snapshot's pairwise weight matrix and return the snapshot.
 
-    Pure function of the snapshot: no shared-state reads, rerunnable.
+    The counts are a pure function of the snapshot: no shared-state reads,
+    rerunnable.
     """
-    weights = weight_counts(len(snapshot.admitted), snapshot.orders)
-    return WeightReport(snapshot.r, snapshot.admitted, snapshot.solid, weights)
+    snapshot.weights = weight_counts(len(snapshot.admitted), snapshot.orders)
+    return snapshot
 
 
 # -- Phase 2 ------------------------------------------------------------------
 
 
-def phase2_build_graph(report: WeightReport, proposed, tau) -> DepGraph:
+def phase2_build_graph(snap: Snapshot, proposed, tau_i: int) -> DepGraph:
     """Drop what earlier subdags retained, then add edges from cached weights.
 
     ``proposed`` is ``CumulativeState.proposed``, every digest retained by an
-    earlier subdag. An edge is installed toward the direction whose cached
-    weight reaches tau; at an exact tie the smaller digest (the smaller
-    index) is the source. Pairs below tau in both directions become missing
-    edges, listed row-major.
+    earlier subdag, and ``tau_i`` is ``CumulativeState.tau_i``. An edge is
+    installed toward the direction whose cached weight reaches tau_i; at an
+    exact tie the smaller digest (the smaller index) is the source. Pairs
+    below tau_i in both directions become missing edges, listed row-major.
     """
-    tau_i = count_threshold(tau)
-    m = len(report.admitted)
-    kept = [i for i, d in enumerate(report.admitted) if d not in proposed]
-    nodes = [report.admitted[i] for i in kept]
-    w = np.asarray(report.weights).reshape(m, m)[np.ix_(kept, kept)]
+    m = len(snap.admitted)
+    kept = [i for i, d in enumerate(snap.admitted) if d not in proposed]
+    nodes = [snap.admitted[i] for i in kept]
+    w = np.asarray(snap.weights).reshape(m, m)[np.ix_(kept, kept)]
     decided = (w >= tau_i) | (w.T >= tau_i)
     adj = decided & ((w > w.T) | np.triu(w == w.T, 1))
     rows, cols = np.nonzero(np.triu(~decided, 1))
     missing = [(nodes[a], nodes[b]) for a, b in zip(rows.tolist(), cols.tolist())]
-    solid = np.array([d in report.solid for d in nodes], dtype=bool)
-    return DepGraph(report.r, nodes, adj, missing, solid)
+    solid = np.array([d in snap.solid for d in nodes], dtype=bool)
+    return DepGraph(snap.r, nodes, adj, missing, solid)
 
 
 # -- SCC machinery -------------------------------------------------------------

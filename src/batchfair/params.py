@@ -116,6 +116,14 @@ class SimConfig:
             raise ConfigError(f"unknown batch wire format {self.batch_wire!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
+        if self.delay_min < 0:
+            raise ConfigError(f"delay_min must be >= 0, got {self.delay_min}")
+        if self.delay_max < self.delay_min:
+            raise ConfigError(
+                f"delay_max must be >= delay_min ({self.delay_min}), got {self.delay_max}"
+            )
+        if self.task_slots < 1:
+            raise ConfigError(f"task_slots must be >= 1, got {self.task_slots}")
 
     def to_dict(self) -> dict:
         d = {fld.name: getattr(self, fld.name) for fld in fields(self)}

@@ -17,14 +17,14 @@ drivers share that landing step, ``_land``, and the vote-routing step:
   results in commit order.
 
 Both modes produce bit-identical emitted orders; only wall-clock differs.
-The vote tally scans author prefixes from n-f upward and keeps the minimal
-sufficient prefix, so the outcome does not depend on how many extra votes
-happen to be buffered when a tally runs. A process pool (not threads) does
-the parallel work because the phase-1 kernel is pure Python and the GIL
-serializes threads. A task ships the admitted count and every author's
+Each parked subdag's running vote tally stops at the shortest sufficient
+prefix of the vote arrival order (finalize.py), so the outcome does not
+depend on how far concurrent mode runs ahead. A process pool (not threads)
+does the parallel work because the phase-1 kernel is pure Python and the
+GIL serializes threads. A task ships the admitted count and every author's
 order as integer indices, and its result is the flat ``array('I')`` of
 counts alone: no digest crosses the pool in either direction, and the
-coordinator rebuilds the ``WeightReport`` from its own snapshot.
+coordinator attaches the counts to its own snapshot.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter_ns
 
-from .finalize import ParkedStore, apply_fair_update, emit, mark_ready, route_votes
+from .finalize import ParkedStore, apply_fair_update, emit, mark_ready, park, route_votes
 from .graph import (
     CumulativeState,
     Snapshot,
-    WeightReport,
     apply_result,
     extract_snapshot,
     phase1_weights,
@@ -46,7 +45,6 @@ from .graph import (
     phase3_anchor,
     weight_counts,
 )
-from .params import edge_threshold
 from .types import CommitRecord, FinalOrder
 
 
@@ -68,17 +66,13 @@ class FairnessPipeline:
     """Coordinator for one replica-equivalent fairness processor."""
 
     def __init__(self, n: int, f: int, gamma, trace_cb=None, fairpropose_cb=None):
-        self.n = n
-        self.f = f
-        self.tau = edge_threshold(n, f, gamma)
         self.state = CumulativeState(n, f, gamma)
-        self.store = ParkedStore()
+        self.store = ParkedStore(n - f, self.state.tau_i)
         self.profiles: list[dict] = []
         self.trace_cb = trace_cb
         self.fairpropose_cb = fairpropose_cb
         self.emitted: list[FinalOrder] = []
         self.now = 0
-        self._tried: dict[int, int] = {}  # r -> author count at last tally attempt
 
     # -- shared bits -----------------------------------------------------------
 
@@ -100,30 +94,22 @@ class FairnessPipeline:
                 }
             )
 
-    def _try_resolve(self, r: int) -> None:
-        """Tally parked r again when its vote set grew since the last tally."""
-        have = len(self.store.votes.get(r, ()))
-        if have < self.n - self.f or self._tried.get(r) == have:
-            return
-        self._tried[r] = have
-        if apply_fair_update(self.store, r, self.tau, self.n, self.f) is not None:
-            self._drain_emit()
-
     def _route(self, record: CommitRecord) -> None:
-        """Buffer a committed subdag's votes and tally every parked target."""
-        for r in route_votes(self.store, record, self.n, self.f):
-            self._try_resolve(r)
+        """Tally a committed subdag's votes and resolve every target they complete."""
+        for r in route_votes(self.store, record):
+            apply_fair_update(self.store, r)
+            self._drain_emit()
 
     def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
         t0 = perf_counter_ns()
         snap = extract_snapshot(self.state, record)
         return snap, perf_counter_ns() - t0
 
-    def _land(self, report: WeightReport, extract_ns: int, weights_ns: int) -> None:
+    def _land(self, snap: Snapshot, extract_ns: int, weights_ns: int) -> None:
         """Phases 2-4, FairPropose, the tally and Emit for one subdag, in commit order."""
-        r = report.r
+        r = snap.r
         t0 = perf_counter_ns()
-        graph = phase2_build_graph(report, self.state.proposed, self.tau)
+        graph = phase2_build_graph(snap, self.state.proposed, self.state.tau_i)
         t1 = perf_counter_ns()
         outcome, anchor, k_digests = phase3_anchor(graph)
         t2 = perf_counter_ns()
@@ -136,7 +122,7 @@ class FairnessPipeline:
                 "t": self.now,
                 "replica": None,
                 "r": r,
-                "v": len(report.admitted),
+                "v": len(snap.admitted),
                 "m": 0 if parked is None else len(parked.missing),
                 "anchor": anchor,
                 "k": len(k_digests),
@@ -156,7 +142,6 @@ class FairnessPipeline:
         if parked is None:
             mark_ready(self.store, outcome)
         else:
-            self.store.parked[r] = parked
             self._trace(
                 {
                     "ev": "graph_parked",
@@ -168,7 +153,8 @@ class FairnessPipeline:
             )
             if self.fairpropose_cb is not None:
                 self.fairpropose_cb(r, set(parked.missing))
-            self._try_resolve(r)
+            if park(self.store, parked):
+                apply_fair_update(self.store, r)
         self._drain_emit()
 
     # -- event/serial mode -------------------------------------------------------
@@ -179,8 +165,8 @@ class FairnessPipeline:
         self._route(record)
         snap, extract_ns = self._extract(record)
         t0 = perf_counter_ns()
-        report = phase1_weights(snap)
-        self._land(report, extract_ns, perf_counter_ns() - t0)
+        phase1_weights(snap)
+        self._land(snap, extract_ns, perf_counter_ns() - t0)
 
     def finish(self) -> PipelineResult:
         return PipelineResult(self.emitted, self.profiles, sorted(self.store.parked))
@@ -208,9 +194,8 @@ class FairnessPipeline:
 
         def land_oldest() -> None:
             snap, extract_ns, fut = inflight.popleft()
-            weights, weights_ns = fut.result()
-            report = WeightReport(snap.r, snap.admitted, snap.solid, weights)
-            self._land(report, extract_ns, weights_ns)
+            snap.weights, weights_ns = fut.result()
+            self._land(snap, extract_ns, weights_ns)
 
         try:
             for rec in records:

@@ -69,7 +69,7 @@ class Vertex:
     author: int
     round: int
     vid: str
-    parents: frozenset[str]  # vertex ids certified in round-1
+    parents: frozenset[int]  # authors of the round-1 vertices it references
     batch: Batch | None  # None only for genesis
 
 

@@ -1,5 +1,6 @@
 """Golden digests: the emitted-order digest, report hash and trace digest of
-every shipped scenario variant, in serial mode.
+every shipped scenario variant, in serial and in concurrent replay mode. The
+report hash leaves the mode out, so both modes share one expected triple.
 
 A change that moves any of them changes what the protocol emits, what the
 oracle reports or what the simulation records. Such a change must say why,
@@ -99,11 +100,17 @@ def test_golden_table_covers_every_shipped_variant():
 
 
 @pytest.mark.parametrize(
-    "name,variant", sorted(GOLDEN), ids=lambda x: x if isinstance(x, str) else str(dict(x))
+    "name,variant,serial",
+    [
+        pytest.param(name, variant, serial,
+                     id=f"{name}-{dict(variant)}" + ("" if serial else "-concurrent"))
+        for name, variant in sorted(GOLDEN)
+        for serial in (True, False)
+    ],
 )
-def test_shipped_scenario_matches_golden_digests(name, variant):
+def test_shipped_scenario_matches_golden_digests(name, variant, serial, pool):
     variant = dict(variant)
     scenario = build_scenario(name, **variant)
-    report, res = execute_scenario(scenario, serial=True, variant=variant)
+    report, res = execute_scenario(scenario, serial=serial, pool=pool, variant=variant)
     got = (report.emitted_digest, report.report_hash(), trace_digest(res.trace))
     assert got == GOLDEN[name, tuple(sorted(variant.items()))]

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from batchfair.graph import (
     CumulativeState,
     Snapshot,
-    WeightReport,
     apply_result,
     classify,
     condensation_order,
@@ -137,7 +136,7 @@ def _condorcet_report():
 
 def test_phase2_condorcet_builds_cycle_no_missing():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), edge_threshold(3, 0, Fraction(2, 3)))
+    g = phase2_build_graph(rep, frozenset(), 2)  # tau = 2 at n=3, f=0, gamma=2/3
     assert g.missing == []
     assert edges_of(g) == {(a, b), (b, c), (c, a)}
 
@@ -147,7 +146,7 @@ def test_phase2_below_threshold_pair_is_missing():
     # two replicas disagree 1/1, tau = 2
     snap = snapshot({0: (x, y), 1: (y, x), 2: ()}, 3, 0, Fraction(2, 3))
     rep = phase1_weights(snap)
-    g = phase2_build_graph(rep, frozenset(), Fraction(2))
+    g = phase2_build_graph(rep, frozenset(), 2)
     assert g.missing == [tuple(sorted((x, y)))]
     assert not g.adj.any()
 
@@ -156,13 +155,13 @@ def test_phase2_tie_at_threshold_goes_to_smaller_digest():
     x, y = sorted((d("p"), d("q")))
     snap = snapshot({0: (x, y), 1: (x, y), 2: (y, x), 3: (y, x), 4: ()}, 5, 1, 1)
     rep = phase1_weights(snap)  # tau = 2; 2/2 tie
-    g = phase2_build_graph(rep, frozenset(), Fraction(2))
+    g = phase2_build_graph(rep, frozenset(), 2)
     assert edges_of(g) == {(x, y)}
 
 
 def test_phase2_chain_filter_removes_before_edges():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset({b}), Fraction(2))
+    g = phase2_build_graph(rep, frozenset({b}), 2)
     assert b not in g.nodes
     assert edges_of(g) == {(c, a)}  # only the a/c pair survives the filter
 
@@ -203,8 +202,8 @@ def test_phase2_masks_match_scalar_pair_rule(data, m, tau_i):
     picks = st.sets(st.sampled_from(admitted)) if admitted else st.just(set())
     proposed = frozenset(data.draw(picks)) | {d("retained earlier")}
     solid = frozenset(data.draw(picks))
-    report = WeightReport(1, admitted, solid, weights)
-    g = phase2_build_graph(report, proposed, Fraction(tau_i))
+    report = Snapshot(1, admitted, solid, {}, weights)
+    g = phase2_build_graph(report, proposed, tau_i)
     keep, edges, missing = scalar_phase2(report, proposed, tau_i)
     assert g.nodes == keep
     assert edges_of(g) == edges
@@ -264,7 +263,7 @@ def test_tarjan_matches_reachability_oracle_property(seed, size, p):
 
 def test_phase3_condorcet_single_scc_is_anchor():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), Fraction(2))
+    g = phase2_build_graph(rep, frozenset(), 2)
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 1
     assert sorted(k) == sorted([a, b, c])
@@ -276,7 +275,7 @@ def test_phase3_truncates_past_anchor():
     snap = snapshot({0: (x, y, z), 1: (x, y, z), 2: (x,)}, 5, 1, 1)
     rep = phase1_weights(snap)  # tau=2, tau_s=3
     assert rep.solid == frozenset({x})
-    g = phase2_build_graph(rep, frozenset(), Fraction(2))
+    g = phase2_build_graph(rep, frozenset(), 2)
     order, anchor, k = phase3_anchor(g)
     assert k == [x]
     assert order == FinalOrder(1, (x,), ((0, 1),))
@@ -288,7 +287,7 @@ def test_phase3_no_solid_retains_nothing():
     st_.proposed.add(d("old"))
     snap = extract_snapshot(st_, _record(1, {0: [x, y], 1: [x, y]}))
     rep = phase1_weights(snap)  # support 2 < tau_s=3: shaded only
-    g = phase2_build_graph(rep, st_.proposed, Fraction(2))
+    g = phase2_build_graph(rep, st_.proposed, 2)
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == []
     apply_result(st_, 1, k)
@@ -297,7 +296,7 @@ def test_phase3_no_solid_retains_nothing():
 
 def test_phase3_empty_graph():
     g = phase2_build_graph(
-        phase1_weights(snapshot({}, 5, 1, 1)), frozenset(), Fraction(2)
+        phase1_weights(snapshot({}, 5, 1, 1)), frozenset(), 2
     )
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == [] and trunc == FinalOrder(1, (), ())
@@ -308,7 +307,7 @@ def test_phase3_empty_graph():
 
 def test_phase4_finalizes_without_missing():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), Fraction(2))
+    g = phase2_build_graph(rep, frozenset(), 2)
     order, *_ = phase3_anchor(g)
     assert order.digests == tuple(sorted([a, b, c]))
     assert order.batches == ((0, 3),)
@@ -318,7 +317,7 @@ def test_phase4_parks_with_missing():
     x, y = d("x"), d("y")
     snap = snapshot({0: (x, y), 1: (y, x), 2: (x, y), 3: (x,), 4: (y,)}, 5, 1, 1)
     rep = phase1_weights(snap)
-    g = phase2_build_graph(rep, frozenset(), Fraction(3))  # force 2/1 below 3
+    g = phase2_build_graph(rep, frozenset(), 3)  # force 2/1 below 3
     trunc, *_ = phase3_anchor(g)
     assert trunc.missing == [tuple(sorted((x, y)))]
     assert trunc.adj.shape == (2, 2) and not trunc.adj.any()
@@ -385,6 +384,14 @@ def test_apply_result_twice_rejected():
     apply_result(st_, 1, [])
     with pytest.raises(ValueError):
         apply_result(st_, 1, [])
+
+
+def test_apply_result_out_of_order_rejected():
+    st_ = CumulativeState(3, 0, Fraction(2, 3))
+    extract_snapshot(st_, _record(1, {0: [d("k")]}))
+    extract_snapshot(st_, _record(2, {0: [d("z")]}))
+    with pytest.raises(ValueError, match="applied out of order"):
+        apply_result(st_, 2, [])
 
 
 def test_graphed_tx_never_reenters_via_late_echo():

@@ -202,6 +202,14 @@ def test_cli_run_takes_task_slots_from_config_unless_threads_given(
     assert seen == [expected]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_run_rejects_threads_below_one(threads, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["run", "--scenario", "condorcet_minimal", "--threads", threads])
+    assert exit_.value.code == 2
+    assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
+
 def test_cli_scenarios_lists(capsys):
     assert cli_main(["scenarios"]) == 0
     out = capsys.readouterr().out

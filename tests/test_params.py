@@ -63,6 +63,13 @@ def test_simconfig_validation():
     with pytest.raises(ConfigError, match="unknown batch wire format 'json'"):
         SimConfig(n=5, f=1, gamma=1, batch_wire="json")
     assert SimConfig(n=5, f=1, gamma=1, batch_wire="binary").batch_wire == "binary"
+    with pytest.raises(ConfigError, match="delay_min"):
+        SimConfig(n=5, f=1, gamma=1, delay_min=-1)
+    with pytest.raises(ConfigError, match="delay_max"):
+        SimConfig(n=5, f=1, gamma=1, delay_min=4, delay_max=3)
+    with pytest.raises(ConfigError, match="task_slots"):
+        SimConfig(n=5, f=1, gamma=1, task_slots=0)
+    assert SimConfig(n=5, f=1, gamma=1, delay_min=0, delay_max=0, task_slots=1).delay_max == 0
     round_trip = SimConfig.from_dict(cfg.to_dict())
     assert round_trip == cfg
 

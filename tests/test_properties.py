@@ -111,12 +111,12 @@ def test_solid_retention_and_claim_subset(records):
     # every snapshot solid lands in that subdag's K_r; claims minus what
     # earlier subdags retained are always retained
     state = CumulativeState(N, F, GAMMA)
-    tau = Fraction(2)  # n(1-gamma)+f+1 at gamma=1
+    tau_i = 2  # n(1-gamma)+f+1 at gamma=1
     for rec in records:
         snap = extract_snapshot(state, rec)
         claim = state.claims[rec.r]
         report = phase1_weights(snap)
-        graph = phase2_build_graph(report, state.proposed, tau)
+        graph = phase2_build_graph(report, state.proposed, tau_i)
         trunc, anchor, k_digests = phase3_anchor(graph)
         assert claim - state.proposed <= set(k_digests)
         assert report.solid - state.proposed <= set(k_digests)

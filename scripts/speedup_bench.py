@@ -18,7 +18,7 @@ from batchfair.scenarios import build_scenario
 
 def main() -> int:
     slot_counts = [int(a) for a in sys.argv[1:]] or [4]
-    cores = len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"host cores: {cores}")
     for slots in slot_counts:
         result = measure_speedup(build_scenario("speedup_bench"), slots=slots)

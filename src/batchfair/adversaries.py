@@ -104,7 +104,6 @@ def uniform_load(
     end_round: int,
     seed: int,
     skew_p: float = 0.0,
-    prefix: str = "tx",
 ) -> ClientSchedule:
     """Every transaction goes to every replica; per-replica arrival order is
     shuffled and, with probability skew_p, a replica sees a tx one round late
@@ -115,7 +114,7 @@ def uniform_load(
     seq = 0
     per_round: dict[tuple[int, int], list[str]] = {}
     for t in range(txs):
-        body = f"{prefix}-{t:06d}"
+        body = f"tx-{t:06d}"
         base = rounds[t * len(rounds) // txs]
         for rep in range(n):
             rnd = base + (1 if skew_p > 0 and rng.random() < skew_p else 0)

@@ -77,14 +77,16 @@ def route_votes(store: ParkedStore, record: CommitRecord) -> list[int]:
     """Record a committed subdag's votes; first vote per (author, target) wins.
 
     Votes targeting already-finalized subdags (emitted, or ready to emit)
-    are dropped, and a sufficient tally takes no further vote. Votes for a
-    subdag that is not parked yet are buffered. Returns, ascending, the
-    parked subdag ids whose tally became sufficient.
+    are dropped, and so are votes for a subdag not committed before the
+    record that carries them, which no honest worker casts; a sufficient
+    tally takes no further vote. Votes for a committed subdag that is not
+    parked yet are buffered. Returns, ascending, the parked subdag ids whose
+    tally became sufficient.
     """
     ready = []
     for vote in record.votes():
         r = vote.target_r
-        if r < store.next or r in store.ready:
+        if r >= record.r or r < store.next or r in store.ready:
             continue
         by_author = store.votes.setdefault(r, {})
         tally = store.parked.get(r)

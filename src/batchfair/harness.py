@@ -55,9 +55,9 @@ class RunReport:
     def ok(self) -> bool:
         return all(self.verdicts.values())
 
-    def report_hash(self) -> str:
-        """Hash of the deterministic report fields (timings excluded)."""
-        doc = {
+    def _hashed_fields(self) -> dict:
+        """The fields report_hash covers; to_dict leads with them."""
+        return {
             "scenario": self.scenario,
             "variant": self.variant,
             "config": self.config,
@@ -65,17 +65,16 @@ class RunReport:
             "verdicts": self.verdicts,
             "counts": self.counts,
         }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+    def report_hash(self) -> str:
+        """Hash of the deterministic report fields (timings excluded)."""
+        doc = json.dumps(self._hashed_fields(), sort_keys=True)
+        return hashlib.sha256(doc.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {
-            "scenario": self.scenario,
-            "variant": self.variant,
-            "config": self.config,
+            **self._hashed_fields(),
             "mode": self.mode,
-            "emitted_digest": self.emitted_digest,
-            "verdicts": self.verdicts,
-            "counts": self.counts,
             "phase_means_ns": self.phase_means_ns,
             "throughput_tx_per_s": self.throughput_tx_per_s,
             "latency_mean": self.latency_mean,
@@ -293,12 +292,13 @@ def run_scenario(
 
 
 def write_metrics_csv(path: str | Path, reports: list[RunReport]) -> None:
+    """One row per report; the verdict columns are the verdicts' own keys."""
+    verdict_cols = list(reports[0].verdicts) if reports else []
     cols = [
         "scenario", "variant", "mode", "n", "f", "gamma", "seed",
         "txs_injected", "txs_emitted", "stragglers", "subdags",
         "throughput_tx_per_s", "latency_mean", "latency_p95",
-        "mode_digest_match", "serial_equivalence", "batch_order_fairness",
-        "single_graph", "loi_monotone", "report_hash",
+        *verdict_cols, "report_hash",
     ]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -312,9 +312,7 @@ def write_metrics_csv(path: str | Path, reports: list[RunReport]) -> None:
                     r.counts["stragglers"], r.counts["subdags"],
                     f"{r.throughput_tx_per_s:.2f}", f"{r.latency_mean:.2f}",
                     f"{r.latency_p95:.2f}",
-                    *(str(r.verdicts[k]).lower() for k in (
-                        "mode_digest_match", "serial_equivalence",
-                        "batch_order_fairness", "single_graph", "loi_monotone")),
+                    *(str(r.verdicts[k]).lower() for k in verdict_cols),
                     r.report_hash(),
                 ]
             )

@@ -1,16 +1,18 @@
 """Independent reference implementations and trace checkers.
 
 Everything here is deliberately written against different machinery than the
-pipeline modules. The serial reference counts weights from per-author rank
-arrays over each subdag's sorted admitted set (one boolean outer comparison
-per author, no pair objects), finds SCCs from a Warshall reachability
-closure over a boolean adjacency matrix, and replays votes from the recorded
-stream with per-author edge counts. Pair evidence and the per-pair vote
-tallies are built from the kept arrays only when asked for. The fairness and
-Dist checkers compare per-replica position arrays, and the LOI checker walks
-per-replica LOI lists. The checks keep few GC-tracked objects alive, so
-they rarely start a collection, which would scan the whole run's trace. Only
-the domain types are shared.
+pipeline modules. One kernel, ``_precedence``, counts for every check how
+many orders put one transaction before another: the serial reference's
+weights over each subdag's admitted set, the gamma-batch-order-fairness
+counts over the replicas' receive orders, the Dist table's reported and
+honest counts, and the honest direction of certified pairs. The serial
+reference finds SCCs from a Warshall reachability closure over a boolean
+adjacency matrix and replays votes from the recorded stream with per-author
+edge counts. Pair evidence and the per-pair vote tallies are built from the
+kept arrays only when asked for. The LOI checker walks per-replica LOI
+lists. The checks keep few GC-tracked objects alive, so they rarely start a
+collection, which would scan the whole run's trace. Only the domain types
+are shared.
 """
 
 from __future__ import annotations
@@ -25,6 +27,35 @@ import numpy as np
 
 from .trace import RunTrace
 from .types import CommitRecord, FinalOrder
+
+
+# -- counting primitives (oracle-side) --------------------------------------------
+
+
+def _precedence(orders: list[list[str]], txs: list[str]) -> np.ndarray:
+    """P[a, b] = number of orders holding both txs[a] and txs[b] with txs[a]
+    first; each order lists a transaction at most once.
+
+    A transaction the order lacks gets rank t in ``hi`` and -1 in ``lo``, so
+    the one comparison per order, hi[a] < lo[b], holds only when the order
+    holds both, txs[a] first."""
+    t = len(txs)
+    idx = {d: i for i, d in enumerate(txs)}
+    p = np.zeros((t, t), dtype=np.int16)
+    hi = np.empty(t, dtype=np.int32)
+    lo = np.empty(t, dtype=np.int32)
+    for order in orders:
+        held = [idx[d] for d in order if d in idx]
+        hi.fill(t)
+        lo.fill(-1)
+        hi[held] = lo[held] = np.arange(len(held))
+        p += hi[:, None] < lo[None, :]
+    return p
+
+
+def _tau_i(n: int, f: int, gamma) -> int:
+    """The integer edge threshold ceil(n(1 - gamma) + f + 1)."""
+    return int(ceil(Fraction(n) * (1 - Fraction(gamma)) + f + 1))
 
 
 # -- graph primitives (oracle-side) ---------------------------------------------
@@ -130,20 +161,6 @@ class SerialOutcome:
         return out
 
 
-def _weight_matrix(orders: list[list[str]], idx: dict[str, int]) -> np.ndarray:
-    """W[u, v] = number of orders holding both u and v with u first; each
-    order is restricted to the digests in ``idx``."""
-    m = len(idx)
-    w = np.zeros((m, m), dtype=np.int32)
-    rank = np.empty(m, dtype=np.int64)
-    for order in orders:
-        rank.fill(-1)
-        held = [idx[d] for d in order if d in idx]
-        rank[held] = np.arange(len(held))
-        w += (rank[:, None] < rank[None, :]) & (rank >= 0)[:, None]
-    return w
-
-
 def _first_sufficient_prefix(
     counts: list[Counter], pairs: list[tuple[str, str]], start: int, tau_i: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -169,17 +186,18 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
     Votes are replayed from the committed stream (scanning forward when a
     graph parks). Emits the same total order as the concurrent pipeline.
     """
-    gamma = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
-    tau = Fraction(n) * (1 - gamma) + f + 1
-    tau_i = int(ceil(tau))
+    tau_i = _tau_i(n, f, gamma)
     tau_s = n - 2 * f
     pending: dict[int, list[str]] = {}
     seen: dict[int, set[str]] = {}
     proposed: set[str] = set()
-    # precollect the vote stream in commit order, first vote per (author, target)
+    # precollect the vote stream in commit order, first vote per (author,
+    # target); a vote for a subdag not committed before its carrier is skipped
     votes_for: dict[int, dict[int, tuple]] = {}
     for rec in records:
         for vote in rec.votes():
+            if vote.target_r >= rec.r:
+                continue
             by_author = votes_for.setdefault(vote.target_r, {})
             if vote.author not in by_author:
                 by_author[vote.author] = vote.edges
@@ -206,10 +224,7 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
         admitted = sorted(d for d, c in support.items() if c >= tau_i)
         m = len(admitted)
         solid = np.array([support[d] >= tau_s for d in admitted], dtype=bool)
-        w = _weight_matrix(
-            [pending[author] for author in sorted(pending)],
-            {d: i for i, d in enumerate(admitted)},
-        )
+        w = _precedence([pending[author] for author in sorted(pending)], admitted)
         weights.append((admitted, w))
         # an edge needs one direction at tau; it points the heavier way, and a
         # tie points from the smaller digest (row index u < v)
@@ -278,7 +293,6 @@ class BatchOfReport:
     violations: list[FairnessViolation]
     pairs_checked: int
     pairs_skipped_scope: int  # not received by all replicas
-    pairs_skipped_unemitted: int
 
     @property
     def ok(self) -> bool:
@@ -301,44 +315,24 @@ def check_batch_of(trace: RunTrace, emitted: list[FinalOrder], gamma) -> BatchOf
     """Brute force over all ordered pairs of transactions received by every
     replica: if >= gamma*n replicas received u before v, u's emitted batch
     must be no later than v's."""
-    gamma = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
-    n = trace.n_replicas()
-    need = int(ceil(gamma * n))
+    need = int(ceil(Fraction(gamma) * trace.n_replicas()))
     receive = trace.receive_orders()
     common = set.intersection(*(set(o) for o in receive.values())) if receive else set()
     all_txs = set().union(*(set(o) for o in receive.values())) if receive else set()
-    total_pairs = len(all_txs) * (len(all_txs) - 1) // 2
+    skipped = len(all_txs) * (len(all_txs) - 1) // 2 - len(common) * (len(common) - 1) // 2
     rank = batch_ranks(emitted)
-    scoped = sorted(common)
-    emitted_scoped = [d for d in scoped if d in rank]
-    skipped_unemitted = len(scoped) * (len(scoped) - 1) // 2 - len(emitted_scoped) * (
-        len(emitted_scoped) - 1
-    ) // 2
-    txs = emitted_scoped
+    txs = sorted(d for d in common if d in rank)
     t = len(txs)
     if t < 2:
-        return BatchOfReport([], 0, total_pairs, skipped_unemitted)
-    pos = np.zeros((n, t), dtype=np.int32)
-    for i in range(n):
-        where = {d: k for k, d in enumerate(receive[i])}
-        for k, d in enumerate(txs):
-            pos[i, k] = where[d]
-    counts = np.zeros((t, t), dtype=np.int16)
-    for i in range(n):
-        counts += pos[i, :, None] < pos[i, None, :]
+        return BatchOfReport([], 0, skipped)
+    counts = _precedence(list(receive.values()), txs)
     b = np.array([rank[d] for d in txs], dtype=np.int32)
     bad = (counts >= need) & (b[:, None] > b[None, :])
     violations = [
-        FairnessViolation(
-            txs[u], txs[v], int(counts[u, v]), int(b[u]), int(b[v])
-        )
+        FairnessViolation(txs[u], txs[v], int(counts[u, v]), int(b[u]), int(b[v]))
         for u, v in np.argwhere(bad)
     ]
-    checked = t * (t - 1) // 2
-    return BatchOfReport(
-        violations, checked, total_pairs - len(scoped) * (len(scoped) - 1) // 2,
-        skipped_unemitted,
-    )
+    return BatchOfReport(violations, t * (t - 1) // 2, skipped)
 
 
 # -- single-graph and LOI-monotonicity checkers ----------------------------------
@@ -406,34 +400,20 @@ def _dist_arrays(
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(txs, u, v, Dist, reversed) over the table's pairs, u < v as indices
     into the sorted txs; see dist_pair_table."""
-    n = trace.n_replicas()
     reported = trace.reported_orders()
     receive = trace.receive_orders()
-    correct = trace.correct_replicas()
     rank = batch_ranks(emitted)
     # scope: reported by all N replicas (keeps Dist parity exact) and emitted
     common = set.intersection(*(set(o) for o in reported.values()))
     txs = sorted(d for d in common if d in rank)
-    t = len(txs)
-    empty = np.empty(0, dtype=np.intp)
-    if t < 2:
+    if len(txs) < 2:
+        empty = np.empty(0, dtype=np.intp)
         return txs, empty, empty, empty, empty.astype(bool)
-    rpos = np.zeros((n, t), dtype=np.int32)
-    for i in range(n):
-        where = {d: k for k, d in enumerate(reported[i])}
-        for k, d in enumerate(txs):
-            rpos[i, k] = where[d]
-    fwd = np.zeros((t, t), dtype=np.int16)
-    for i in range(n):
-        fwd += rpos[i, :, None] < rpos[i, None, :]
-    hc = np.zeros((t, t), dtype=np.int16)
-    for i in correct:
-        where = {d: k for k, d in enumerate(receive[i])}
-        cpos = np.array([where[d] for d in txs], dtype=np.int32)
-        hc += cpos[:, None] < cpos[None, :]
+    fwd = _precedence(list(reported.values()), txs)
+    hc = _precedence([receive[i] for i in trace.correct_replicas()], txs)
     b = np.array([rank[d] for d in txs], dtype=np.int32)
     reversed_ = (hc > hc.T) & (b[:, None] > b[None, :])  # against the honest majority
-    iu, iv = np.triu_indices(t, k=1)
+    iu, iv = np.triu_indices(len(txs), k=1)
     decided = hc[iu, iv] != hc[iv, iu]
     iu, iv = iu[decided], iv[decided]
     dist = np.abs(fwd[iu, iv] - fwd[iv, iu])
@@ -473,26 +453,17 @@ def certified_pairs(outcome: SerialOutcome, trace: RunTrace) -> set[tuple[str, s
     observation (and every vote tally), both graphed in the same subdag.
     Such a pair can never be emitted against the honest direction."""
     cfg = trace.meta["config"]
-    n, f = int(cfg["n"]), int(cfg["f"])
-    gamma = Fraction(cfg["gamma"])
-    tau_i = int(ceil(Fraction(n) * (1 - gamma) + f + 1))
+    tau_i = _tau_i(int(cfg["n"]), int(cfg["f"]), cfg["gamma"])
     receive = trace.receive_orders()
-    correct = trace.correct_replicas()
-    pos = {i: {d: k for k, d in enumerate(receive[i])} for i in correct}
+    txs = list(outcome.graphed_in)
+    at = {d: i for i, d in enumerate(txs)}
+    honest = _precedence([receive[i] for i in trace.correct_replicas()], txs)
     out: set[tuple[str, str]] = set()
     for (u, v), ev in outcome.evidence.items():
         ru, rv = outcome.graphed_in.get(u), outcome.graphed_in.get(v)
         if ru is None or ru != rv:
             continue
-        pref_uv = pref_vu = 0
-        for i in correct:
-            pu, pv = pos[i].get(u), pos[i].get(v)
-            if pu is None or pv is None:
-                continue
-            if pu < pv:
-                pref_uv += 1
-            else:
-                pref_vu += 1
+        pref_uv, pref_vu = honest[at[u], at[v]], honest[at[v], at[u]]
         if pref_uv == pref_vu:
             continue
         honest_first = 0 if pref_uv > pref_vu else 1

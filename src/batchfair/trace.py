@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,25 +93,26 @@ class RunTrace:
                     out[e["replica"]].append(digest)
         return out
 
+    def _committed(self) -> Iterator[tuple[dict, list[dict]]]:
+        """Each subdag_committed event with its vertex_created events, in
+        commit order."""
+        verts = {e["vid"]: e for e in self.events if e["ev"] == "vertex_created"}
+        for e in self.events:
+            if e["ev"] == "subdag_committed":
+                yield e, [verts[vid] for vid in e["vertices"]]
+
     def commit_records(self) -> list[CommitRecord]:
         """Reassemble the committed-subdag stream the fairness layer consumed."""
-        verts: dict[str, dict] = {}
-        for e in self.events:
-            if e["ev"] == "vertex_created":
-                verts[e["vid"]] = e
         records: list[CommitRecord] = []
-        for e in self.events:
-            if e["ev"] != "subdag_committed":
-                continue
+        for e, vertices in self._committed():
             vrs = []
-            for vid in e["vertices"]:
-                ve = verts[vid]
+            for ve in vertices:
                 entries = tuple((d, loi) for _k, d, loi in ve["entries"])
                 votes = tuple(
                     FairUpdateVote(v["author"], v["r"], tuple(tuple(x) for x in v["edges"]))
                     for v in ve["votes"]
                 )
-                vrs.append(VertexRecord(ve["replica"], ve["round"], vid, entries, votes))
+                vrs.append(VertexRecord(ve["replica"], ve["round"], ve["vid"], entries, votes))
             records.append(CommitRecord(e["r"], e["leader"], tuple(vrs)))
         return records
 
@@ -130,18 +132,11 @@ class RunTrace:
     def committed_lois(self) -> dict[int, tuple[list[str], list[int]]]:
         """Per replica, the digests and LOIs of its committed vertices'
         entries in commit order, as two parallel lists (no object per entry)."""
-        verts: dict[str, dict] = {}
-        for e in self.events:
-            if e["ev"] == "vertex_created":
-                verts[e["vid"]] = e
         out: dict[int, tuple[list[str], list[int]]] = {
             i: ([], []) for i in range(self.n_replicas())
         }
-        for e in self.events:
-            if e["ev"] != "subdag_committed":
-                continue
-            for vid in e["vertices"]:
-                ve = verts[vid]
+        for _e, vertices in self._committed():
+            for ve in vertices:
                 digests, lois = out[ve["replica"]]
                 for _k, d, loi in ve["entries"]:
                     digests.append(d)

@@ -27,7 +27,7 @@ class WorkerState:
         self.lois: dict[str, int] = {}
         self.waiting: dict[int, tuple[set[str], list[tuple[str, str]]]] = {}
         self.proposed: set[int] = set()  # subdag ids already FairProposed
-        self.entry_queue: list[Entry] = []  # direct + indirect awaiting seal
+        self.entry_queue: list[Entry] = []  # direct + indirect awaiting seal, LOI-ascending
         self.vote_queue: list[FairUpdateVote] = []
         self.seq = 0
         self.vote_cb = None  # optional (replica, vote) hook for tracing
@@ -96,13 +96,12 @@ class WorkerState:
     def build_batch(self) -> Batch:
         """Seal pending entries and queued votes into an immutable batch.
 
-        Entries are LOI-ascending for a correct replica; a reversing
-        Byzantine replica reports the exact reverse of its receive order.
+        Entries are LOI-ascending for a correct replica, as queued; a
+        reversing Byzantine replica reports the exact reverse of its receive
+        order.
         An all-empty batch is permitted (heartbeat keeping rounds alive).
         """
-        entries = sorted(self.entry_queue, key=lambda e: e.loi)
-        if self.reverse_order:
-            entries.reverse()
+        entries = self.entry_queue[::-1] if self.reverse_order else self.entry_queue
         batch = Batch(self.replica, self.seq, tuple(entries), tuple(self.vote_queue))
         self.seq += 1
         self.entry_queue = []

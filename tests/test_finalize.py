@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,11 @@ from batchfair.finalize import (
     park,
     route_votes,
 )
+from batchfair.dagsim import Simulator
 from batchfair.graph import DepGraph
+from batchfair.oracle import serial_reference
+from batchfair.pipeline import FairnessPipeline
+from batchfair.scenarios import build_scenario
 from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest
 
 
@@ -72,10 +77,36 @@ def test_votes_for_finalized_subdag_dropped():
     assert 2 not in store.votes
 
 
-def test_votes_for_unknown_subdag_buffered_not_ready():
+def test_votes_for_later_subdag_dropped():
+    # a vote can only target a subdag committed before the record carrying it
     store = ParkedStore(4, 2)
-    ready = route_votes(store, vote_record(5, [FairUpdateVote(0, 99, ())]))
-    assert ready == [] and 99 in store.votes
+    votes = [FairUpdateVote(0, 99, ()), FairUpdateVote(1, 5, ())]
+    assert route_votes(store, vote_record(5, votes)) == []
+    assert store.votes == {}
+
+
+def test_premature_vote_does_not_take_the_authors_first_vote():
+    """Each author first votes, reversed, for the subdag being committed; the
+    premature votes are dropped on both sides, and the valid ones decide."""
+    scenario = build_scenario("wire_binary")
+    cfg = scenario.config
+    res = Simulator(cfg, scenario.faults, scenario.clients, scenario.spikes).run()
+    target = next(v.target_r for rec in res.records for v in rec.votes())
+    premature = tuple(
+        FairUpdateVote(v.author, target, tuple((b, a) for a, b in v.edges))
+        for rec in res.records for v in rec.votes() if v.target_r == target
+    )
+    assert premature and any(v.edges for v in premature)
+    records = [
+        replace(rec, vertices=(
+            replace(rec.vertices[0], votes=premature + rec.vertices[0].votes), *rec.vertices[1:]
+        ))
+        if rec.r == target else rec
+        for rec in res.records
+    ]
+    replay = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay(records)
+    assert replay.emitted == serial_reference(records, cfg.n, cfg.f, cfg.gamma).orders
+    assert replay.emitted == res.pipeline.emitted
 
 
 def test_votes_buffered_before_park_count_when_it_parks():

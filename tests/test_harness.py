@@ -32,6 +32,15 @@ def test_run_scenario_writes_artifacts(tmp_path):
     assert rows[0]["stragglers"] == "0"
 
 
+def test_metrics_csv_verdict_columns_are_the_report_verdicts(tmp_path):
+    reports = run_scenario("condorcet_minimal", serial=True, outdir=tmp_path, trace_on=False)
+    with open(tmp_path / "metrics.csv") as fh:
+        header, row = list(csv.reader(fh))
+    first = header.index("latency_p95") + 1
+    assert header[first:-1] == list(reports[0].verdicts)
+    assert row[first:-1] == [str(v).lower() for v in reports[0].verdicts.values()]
+
+
 def test_trace_jsonl_round_trip(tmp_path):
     reports = run_scenario("condorcet_minimal", serial=True, outdir=tmp_path)
     trace = RunTrace.read_jsonl(tmp_path / "trace.jsonl")

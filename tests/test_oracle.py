@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from batchfair.adversaries import (
     REVERSE_ORDER,
@@ -13,6 +15,7 @@ from batchfair.adversaries import (
 )
 from batchfair.dagsim import Simulator
 from batchfair.oracle import (
+    _precedence,
     check_batch_of,
     check_loi_monotone,
     check_single_graph,
@@ -27,6 +30,32 @@ from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexReco
 
 def d(name) -> str:
     return tx_digest(str(name))
+
+
+@st.composite
+def partial_orders(draw):
+    """Up to six transactions and orders over a random subset of them plus
+    two outsiders, each order listing a transaction at most once."""
+    t = draw(st.integers(0, 6))
+    orders = draw(st.lists(st.lists(st.integers(0, t + 1), unique=True), max_size=6))
+    return [d(i) for i in range(t)], [[d(i) for i in order] for order in orders]
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_orders())
+@example(([], []))
+@example(([], [[d(0)], []]))
+@example(([d(0)], [[d(0)], [], [d(1), d(0)]]))
+def test_precedence_matches_pairwise_count(case):
+    txs, orders = case
+    want = np.zeros((len(txs), len(txs)), dtype=int)
+    for order in orders:
+        for first, second in combinations(order, 2):
+            if first in txs and second in txs:
+                want[txs.index(first), txs.index(second)] += 1
+    got = _precedence(orders, txs)
+    assert got.dtype == np.int16 and got.shape == want.shape
+    assert (got == want).all()
 
 
 def synthetic_trace(n, receive_orders, reported=None, faults=(), retained=()):

@@ -11,6 +11,17 @@ committed subdag to the in-loop fairness pipeline.
 Everything is driven by one event heap keyed (time, seq); all randomness
 comes from generators seeded from the run seed, so identical configs produce
 bit-identical traces.
+
+The hot paths do only the work that changes state. A vertex message carries
+its batch's digests, built once at proposal; a receiver walks them in order
+and observes only those missing from its LOI table, re-checking each so that
+a digest listed twice still gets one LOI. Each client body is hashed on its
+first delivery. The pumps re-check readiness and certificates only after an
+event that recorded a readiness or formed a certificate, since nothing else
+moves them. Per-round bookkeeping keeps only the rounds still read:
+``ready_at`` from the current round on, ``vids`` and ``held`` for the
+current and previous round, ``vertex_time`` from the reference round of the
+next unchecked wave, and ``attestors`` until the vertex certifies.
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .adversaries import ClientSchedule, DelaySpike, FaultSchedule
 from .params import ConfigError, SimConfig
@@ -50,7 +62,9 @@ class Simulator:
         self.cfg = config
         self.faults = faults or FaultSchedule()
         self.clients = clients or ClientSchedule()
-        self.spikes = spikes or []
+        self.spikes: dict[int, list[DelaySpike]] = {}  # round -> spikes naming it
+        for spike in spikes or []:
+            self.spikes.setdefault(spike.round, []).append(spike)
         self.faults.check_budget(config.f)
         self.crash_round = self.faults.crash_rounds()
         if config.readiness > config.n - len(self.crash_round):
@@ -63,6 +77,11 @@ class Simulator:
             WorkerState(i, reverse_order=(i in reversers)) for i in range(config.n)
         ]
         self.net_rng = random.Random(f"{config.seed}:net")
+        # one network delay, before spikes; lockstep delivery draws nothing
+        self.net_delay = (
+            (lambda: 0) if config.delivery_model == "lockstep"
+            else partial(self.net_rng.randint, config.delay_min, config.delay_max)
+        )
         self.trace = RunTrace(
             meta={
                 "config": config.to_dict(),
@@ -85,20 +104,24 @@ class Simulator:
 
         # DAG state
         self.by_round: dict[int, dict[int, Vertex]] = {}
-        self.vertex_time: dict[str, int] = {}
+        self.vids: dict[int, list[str]] = {}  # round -> vertex id per author
+        # round -> author -> proposal time, from the next reference round on
+        self.vertex_time: dict[int, dict[int, int]] = {}
         self.certs: dict[int, dict[int, Certificate]] = {}
         # per replica, round -> authors of the certificates it holds; only
         # rounds >= self.round - 1 are ever read again, so only those are kept
         self.held: list[dict[int, set[int]]] = [{} for _ in range(config.n)]
-        self.attestors: dict[str, set[int]] = {}
+        self.attestors: dict[str, set[int]] = {}  # uncertified vertices only
 
         # event machinery
         self.heap: list[tuple[int, int, str, tuple]] = []
         self._seq = 0
         self.now = 0
         self.round = 0  # next round to propose
-        # (replica, round) -> time; every replica may propose genesis at 0
-        self.ready_at: dict[tuple[int, int], int] = {(i, 0): 0 for i in range(config.n)}
+        # round -> replica -> time; every replica may propose genesis at 0
+        self.ready_at: dict[int, dict[int, int]] = {0: {i: 0 for i in range(config.n)}}
+        # set when an event records a readiness or forms a certificate
+        self.progress = False
         self.crash_time: dict[int, int] = {
             i: -1 for i, r in self.crash_round.items() if r <= 0
         }
@@ -111,6 +134,7 @@ class Simulator:
         # client bookkeeping
         self.client_plan = self.clients.by_replica_round()
         self.injection_time: dict[str, int] = {}  # in first-injection order
+        self.digest_of: dict[str, str] = {}  # body -> digest, on first delivery
         self.emit_time: dict[int, int] = {}
 
     # -- helpers -----------------------------------------------------------------
@@ -128,13 +152,8 @@ class Simulator:
     def _delay(self, sender: int, receiver: int, kind: str, round_: int) -> int:
         if sender == receiver:
             return 0
-        if self.cfg.delivery_model == "lockstep":
-            d = 0
-        else:
-            d = self.net_rng.randint(self.cfg.delay_min, self.cfg.delay_max)
-        for spike in self.spikes:
-            if spike.round != round_:
-                continue
+        d = self.net_delay()
+        for spike in self.spikes.get(round_, ()):
             if spike.scope == "vertex" and kind == "vertex" and spike.replica == sender:
                 d += spike.extra
             elif spike.scope == "inbound" and spike.replica == receiver:
@@ -165,7 +184,9 @@ class Simulator:
                 self.workers[i].on_fair_propose(r, missing)
 
     def _observe_client(self, replica: int, body: str, t: int) -> None:
-        digest = tx_digest(body)
+        digest = self.digest_of.get(body)
+        if digest is None:
+            digest = self.digest_of[body] = tx_digest(body)
         self.injection_time.setdefault(digest, t)
         self.now = t
         loi, fresh = self.workers[replica].observe_client(body, digest)
@@ -184,6 +205,7 @@ class Simulator:
         if round_ == 0:
             batch = None
             parents: frozenset[int] = frozenset()
+            digests: tuple[str, ...] = ()
         else:
             batch = self.workers[replica].build_batch()
             if cfg.batch_wire:
@@ -193,10 +215,11 @@ class Simulator:
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
             parents = frozenset(held)
-        vid = vertex_id(round_, replica)
+            digests = tuple(e.digest for e in batch.entries)
+        vid = self.vids[round_][replica]
         vertex = Vertex(replica, round_, vid, parents, batch)
         self.by_round.setdefault(round_, {})[replica] = vertex
-        self.vertex_time[vid] = t
+        self.vertex_time.setdefault(round_, {})[replica] = t
         self.trace.append(
             {
                 "ev": "vertex_created",
@@ -204,7 +227,7 @@ class Simulator:
                 "replica": replica,
                 "round": round_,
                 "vid": vid,
-                "parents": sorted(vertex_id(round_ - 1, a) for a in parents),
+                "parents": sorted(self.vids[round_ - 1][a] for a in parents),
                 "entries": [] if batch is None else [[e.kind, e.digest, e.loi] for e in batch.entries],
                 "votes": [] if batch is None else [
                     {"author": v.author, "r": v.target_r, "edges": [list(e) for e in v.edges]}
@@ -217,7 +240,7 @@ class Simulator:
         self._maybe_certify(vertex, t)
         for j in range(cfg.n):
             if j != replica:
-                self._post(t + self._delay(replica, j, "vertex", round_), "vertex", (vertex, j))
+                self._post(t + self._delay(replica, j, "vertex", round_), "vertex", (vertex, j, digests))
         # a quorum may already be on hand (e.g. this proposal was delayed past
         # the certificates of its own round), so re-check readiness now
         self._note_ready(replica, round_ + 1, t)
@@ -227,12 +250,13 @@ class Simulator:
             self.crash_time[replica] = t
 
     def _maybe_certify(self, vertex: Vertex, t: int) -> None:
-        certs = self.certs.setdefault(vertex.round, {})
         attestors = self.attestors[vertex.vid]
-        if vertex.author in certs or len(attestors) < self.cfg.quorum:
+        if len(attestors) < self.cfg.quorum:
             return
+        del self.attestors[vertex.vid]  # later attests change nothing
         cert = Certificate(vertex.vid, vertex.round, vertex.author, frozenset(attestors))
-        certs[vertex.author] = cert
+        self.certs.setdefault(vertex.round, {})[vertex.author] = cert
+        self.progress = True
         self.trace.append(
             {
                 "ev": "certificate_formed",
@@ -249,25 +273,26 @@ class Simulator:
 
     def _handle(self, t: int, kind: str, data: tuple) -> None:
         if kind == "vertex":
-            vertex, receiver = data
+            vertex, receiver, digests = data
             if not self._alive(receiver, t):
                 return
-            if vertex.batch is not None:
-                observe = self.workers[receiver].observe_remote
-                for e in vertex.batch.entries:
-                    loi, fresh = observe(e.digest)
-                    if fresh:
-                        self.trace.append(
-                            {"ev": "tx_received", "t": t, "replica": receiver,
-                             "tx": e.digest, "loi": loi, "src": "batch"}
-                        )
+            worker = self.workers[receiver]
+            lois = worker.lois
+            for digest in digests:
+                if digest not in lois:  # read per digest: one listed twice gets one LOI
+                    loi, _ = worker.observe_remote(digest)
+                    self.trace.append(
+                        {"ev": "tx_received", "t": t, "replica": receiver,
+                         "tx": digest, "loi": loi, "src": "batch"}
+                    )
             back = self._delay(receiver, vertex.author, "attest", vertex.round)
             self._post(t + back, "attest", (vertex, receiver))
         elif kind == "attest":
             vertex, attestor = data
-            if not self._alive(vertex.author, t):
+            attestors = self.attestors.get(vertex.vid)
+            if attestors is None or not self._alive(vertex.author, t):
                 return
-            self.attestors[vertex.vid].add(attestor)
+            attestors.add(attestor)
             self._maybe_certify(vertex, t)
         elif kind == "cert":
             cert, receiver = data
@@ -277,26 +302,31 @@ class Simulator:
             self._note_ready(receiver, cert.round + 1, t)
 
     def _note_ready(self, replica: int, round_: int, t: int) -> None:
-        if (replica, round_) in self.ready_at:
-            return
-        if replica not in self.by_round.get(round_ - 1, ()):
+        ready = self.ready_at.setdefault(round_, {})
+        if replica in ready or replica not in self.by_round.get(round_ - 1, ()):
             return
         held = self.held[replica].get(round_ - 1, ())
         if len(held) < self.cfg.readiness:
             return
         if self.cfg.self_reference and replica not in held:
             return
-        self.ready_at[(replica, round_)] = t
+        ready[replica] = t
+        self.progress = True
 
     def _pump(self, done, stalled) -> None:
         """Handle queued events in (time, seq) order until done() holds; if the
-        queue runs dry first, fail with the text stalled() returns."""
+        queue runs dry first, fail with the text stalled() returns.
+
+        done() may read only readiness and certificates, so it is re-checked
+        only after an event that recorded a readiness or formed a certificate."""
         while not done():
-            if not self.heap:
-                raise ConfigError(stalled())
-            t, _, kind, data = heapq.heappop(self.heap)
-            self.now = t
-            self._handle(t, kind, data)
+            self.progress = False
+            while not self.progress:
+                if not self.heap:
+                    raise ConfigError(stalled())
+                t, _, kind, data = heapq.heappop(self.heap)
+                self.now = t
+                self._handle(t, kind, data)
 
     # -- public operations ----------------------------------------------------------
 
@@ -308,10 +338,12 @@ class Simulator:
         live = self._live_set(r)
         lockstep = self.cfg.delivery_model == "lockstep"
         pending = set(live)
+        self.vids[r] = [vertex_id(r, a) for a in range(self.cfg.n)]
+        ready = self.ready_at.setdefault(r, {})
 
         def propose_ready() -> bool:
             for i in sorted(pending):
-                at = self.ready_at.get((i, r))
+                at = ready.get(i)
                 if at is not None:
                     self._propose(i, r, max(at, r) if lockstep else at)
                     pending.discard(i)
@@ -333,6 +365,12 @@ class Simulator:
         self.round += 1
         for held in self.held:
             held.pop(r - 1, None)
+        # drop what no later round or wave reads
+        del self.ready_at[r]
+        self.vids.pop(r - 1, None)
+        reference = (self.next_wave - 1) * self.cfg.wave_len + 2  # of the next unchecked wave
+        for round_ in [rd for rd in self.vertex_time if rd < reference]:
+            del self.vertex_time[round_]
         return [(self.by_round[r][i], certs[i]) for i in live if i in certs]
 
     def _coin(self, wave: int) -> int:
@@ -351,9 +389,10 @@ class Simulator:
             leader_author = self._coin(wave)
             leader = self.by_round.get(leader_round, {}).get(leader_author)
             if leader is not None and leader_author in self.certs.get(leader_round, {}):
+                times = self.vertex_time[leader_round + 1]
                 children = sorted(
-                    self.vertex_time[v.vid]
-                    for v in self.by_round.get(leader_round + 1, {}).values()
+                    times[a]
+                    for a, v in self.by_round.get(leader_round + 1, {}).items()
                     if leader_author in v.parents
                 )
                 if len(children) >= cfg.f + 1:

@@ -4,8 +4,8 @@ Everything here is deliberately written against different machinery than the
 pipeline modules. One kernel, ``_precedence``, counts for every check how
 many orders put one transaction before another: the serial reference's
 weights over each subdag's admitted set, the gamma-batch-order-fairness
-counts over the replicas' receive orders, the Dist table's reported and
-honest counts, and the honest direction of certified pairs. The serial
+counts over the replicas' receive orders, and the Dist table's reported
+and honest counts. The serial
 reference finds SCCs from a Warshall reachability closure over a boolean
 adjacency matrix and replays votes from the recorded stream with per-author
 edge counts. Pair evidence and the per-pair vote tallies are built from the
@@ -398,8 +398,14 @@ class DistRow:
 def _dist_arrays(
     trace: RunTrace, emitted: list[FinalOrder]
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(txs, u, v, Dist, reversed) over the table's pairs, u < v as indices
-    into the sorted txs; see dist_pair_table."""
+    """(txs, u, v, Dist, reversed) per pair, u < v as indices into the
+    sorted txs, over the transactions reported by all N replicas and emitted.
+
+    Dist = |#(u before v) - #(v before u)| over all N reported orders
+    (Byzantine reports included). A pair is reversed when its inter-batch
+    emitted order disagrees with the honest-majority receive direction;
+    same-batch pairs count as not reversed. Pairs with a tied honest count
+    are excluded (no majority direction exists to disagree with)."""
     reported = trace.reported_orders()
     receive = trace.receive_orders()
     rank = batch_ranks(emitted)
@@ -420,23 +426,6 @@ def _dist_arrays(
     return txs, iu, iv, dist, reversed_[iu, iv] | reversed_[iv, iu]
 
 
-def dist_pair_table(
-    trace: RunTrace, emitted: list[FinalOrder]
-) -> list[tuple[str, str, int, bool]]:
-    """Per-pair adversarial-closeness table: (u, v, Dist, reversed).
-
-    Dist = |#(u before v) - #(v before u)| over all N reported orders
-    (Byzantine reports included). A pair is reversed when its inter-batch
-    emitted order disagrees with the honest-majority receive direction;
-    same-batch pairs count as not reversed. Pairs with a tied honest count
-    are excluded (no majority direction exists to disagree with)."""
-    txs, iu, iv, dist, rev = _dist_arrays(trace, emitted)
-    return [
-        (txs[u], txs[v], d, r)
-        for u, v, d, r in zip(iu.tolist(), iv.tolist(), dist.tolist(), rev.tolist())
-    ]
-
-
 def dist_histogram(trace: RunTrace, emitted: list[FinalOrder]) -> list[DistRow]:
     """Bucket the pair table by Dist in {N mod 2, ..., N} in steps of 2."""
     n = trace.n_replicas()
@@ -446,30 +435,3 @@ def dist_histogram(trace: RunTrace, emitted: list[FinalOrder]) -> list[DistRow]:
     return [
         DistRow(d, int(pairs[d]), int(reversed_[d])) for d in range(n % 2, n + 1, 2)
     ]
-
-
-def certified_pairs(outcome: SerialOutcome, trace: RunTrace) -> set[tuple[str, str]]:
-    """Pairs where the honest direction's weight reached tau in every snapshot
-    observation (and every vote tally), both graphed in the same subdag.
-    Such a pair can never be emitted against the honest direction."""
-    cfg = trace.meta["config"]
-    tau_i = _tau_i(int(cfg["n"]), int(cfg["f"]), cfg["gamma"])
-    receive = trace.receive_orders()
-    txs = list(outcome.graphed_in)
-    at = {d: i for i, d in enumerate(txs)}
-    honest = _precedence([receive[i] for i in trace.correct_replicas()], txs)
-    out: set[tuple[str, str]] = set()
-    for (u, v), ev in outcome.evidence.items():
-        ru, rv = outcome.graphed_in.get(u), outcome.graphed_in.get(v)
-        if ru is None or ru != rv:
-            continue
-        pref_uv, pref_vu = honest[at[u], at[v]], honest[at[v], at[u]]
-        if pref_uv == pref_vu:
-            continue
-        honest_first = 0 if pref_uv > pref_vu else 1
-        obs = list(ev.weights)
-        if ev.vote_tally is not None:
-            obs.append(ev.vote_tally)
-        if all(o[honest_first] >= tau_i and o[honest_first] > o[1 - honest_first] for o in obs):
-            out.add((u, v))
-    return out

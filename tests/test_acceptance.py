@@ -15,16 +15,19 @@ import pytest
 
 from batchfair.harness import execute_scenario, measure_speedup, run_baseline_models
 from batchfair.oracle import (
-    certified_pairs,
+    SerialOutcome,
+    _dist_arrays,
+    _precedence,
+    _tau_i,
     check_batch_of,
     check_loi_monotone,
     check_single_graph,
-    dist_pair_table,
     serial_reference,
 )
 from batchfair.pipeline import FairnessPipeline
 from batchfair.scenarios import build_scenario, sweep_scenario
-from batchfair.types import orders_digest
+from batchfair.trace import RunTrace
+from batchfair.types import FinalOrder, orders_digest
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -228,6 +231,48 @@ def test_criterion_7_condorcet_cycle_single_batch():
         ok,
         f"single contiguous batch={one_batch}, hand-computed 2/1 weights={weights_ok}",
     )
+
+
+# -- criterion 8 helpers: the per-pair Dist table and weight-certified pairs ----------
+
+
+def dist_pair_table(
+    trace: RunTrace, emitted: list[FinalOrder]
+) -> list[tuple[str, str, int, bool]]:
+    """Per-pair adversarial-closeness table (u, v, Dist, reversed), over the
+    pairs and with the meaning of ``oracle._dist_arrays``."""
+    txs, iu, iv, dist, rev = _dist_arrays(trace, emitted)
+    return [
+        (txs[u], txs[v], d, r)
+        for u, v, d, r in zip(iu.tolist(), iv.tolist(), dist.tolist(), rev.tolist())
+    ]
+
+
+def certified_pairs(outcome: SerialOutcome, trace: RunTrace) -> set[tuple[str, str]]:
+    """Pairs where the honest direction's weight reached tau in every snapshot
+    observation (and every vote tally), both graphed in the same subdag.
+    Such a pair can never be emitted against the honest direction."""
+    cfg = trace.meta["config"]
+    tau_i = _tau_i(int(cfg["n"]), int(cfg["f"]), cfg["gamma"])
+    receive = trace.receive_orders()
+    txs = list(outcome.graphed_in)
+    at = {d: i for i, d in enumerate(txs)}
+    honest = _precedence([receive[i] for i in trace.correct_replicas()], txs)
+    out: set[tuple[str, str]] = set()
+    for (u, v), ev in outcome.evidence.items():
+        ru, rv = outcome.graphed_in.get(u), outcome.graphed_in.get(v)
+        if ru is None or ru != rv:
+            continue
+        pref_uv, pref_vu = honest[at[u], at[v]], honest[at[v], at[u]]
+        if pref_uv == pref_vu:
+            continue
+        honest_first = 0 if pref_uv > pref_vu else 1
+        obs = list(ev.weights)
+        if ev.vote_tally is not None:
+            obs.append(ev.vote_tally)
+        if all(o[honest_first] >= tau_i and o[honest_first] > o[1 - honest_first] for o in obs):
+            out.add((u, v))
+    return out
 
 
 def test_criterion_8_adversarial_dist_shape(tmp_path):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from batchfair.adversaries import (
@@ -5,6 +8,7 @@ from batchfair.adversaries import (
     SILENT_CRASH,
     ClientDirective,
     ClientSchedule,
+    DelaySpike,
     FaultDirective,
     FaultSchedule,
     random_crash_schedule,
@@ -13,7 +17,16 @@ from batchfair.adversaries import (
 from batchfair.dagsim import Simulator
 from batchfair.params import ConfigError, SimConfig
 from batchfair.scenarios import build_scenario
-from batchfair.types import Certificate, Vertex, vertex_id
+from batchfair.types import (
+    DIRECT,
+    INDIRECT,
+    Certificate,
+    Entry,
+    Vertex,
+    orders_digest,
+    tx_digest,
+    vertex_id,
+)
 
 
 def lockstep_sim(n=5, f=1, seed=7, max_rounds=10, **kw) -> Simulator:
@@ -129,8 +142,7 @@ def test_leader_commits_with_parents_at_round_ten_thousand():
         sim.by_round[rnd] = {
             a: Vertex(a, rnd, vertex_id(rnd, a), parents, None) for a in range(5)
         }
-    for a in range(5):
-        sim.vertex_time[vertex_id(10_002, a)] = a
+    sim.vertex_time[10_002] = {a: a for a in range(5)}
     leader = sim._coin(wave)
     sim.certs[10_001] = {
         leader: Certificate(vertex_id(10_001, leader), 10_001, leader, frozenset(range(5)))
@@ -149,6 +161,23 @@ def test_held_certificates_span_at_most_two_rounds():
     sim.run()
     assert all(len(held) <= 2 for held in sim.held)
     assert all(min(held) >= sim.round - 1 for held in sim.held if held)
+
+
+def test_per_round_bookkeeping_stays_bounded():
+    # crash_n13 runs 56 rounds with three crashes; a crashed author's last
+    # vertex may never certify, so it may keep its attestors
+    sc = build_scenario("crash_n13")
+    sim = Simulator(sc.config, sc.faults, sc.clients, sc.spikes)
+    while sim.round <= sim.cfg.max_rounds:
+        reference = (sim.next_wave - 1) * sim.cfg.wave_len + 2
+        sim.advance_round()
+        assert set(sim.ready_at) <= {sim.round}
+        assert set(sim.vids) == {sim.round - 1}
+        assert all(reference <= rd < sim.round for rd in sim.vertex_time)
+        assert len(sim.vertex_time) <= sim.cfg.wave_len
+        assert len(sim.attestors) <= len(sim.crash_round)
+        sim.try_commit()
+    assert sim.records and sim.round == sim.cfg.max_rounds + 1
 
 
 def test_uncommitted_wave_yields_empty_list_and_later_sweep():
@@ -200,6 +229,56 @@ def test_round_stalls_when_certificates_never_form():
         "round 0 certificates never formed: "
         "['r0000a000', 'r0000a001', 'r0000a002', 'r0000a003', 'r0000a004']"
     )
+
+
+def test_delay_spikes_pinned():
+    # no shipped scenario has a spike; pin one run with both scopes
+    cfg = SimConfig(n=9, f=2, gamma=1, seed=23, max_rounds=16)
+    faults = FaultSchedule([FaultDirective(6, REVERSE_ORDER, 0)])
+    clients = uniform_load(9, 60, 1, 10, seed=23, skew_p=0.2)
+    spikes = [DelaySpike(2, 4, 30, "vertex"), DelaySpike(3, 6, 25, "inbound")]
+    res = Simulator(cfg, faults=faults, clients=clients, spikes=spikes).run()
+    h = hashlib.sha256()
+    for e in res.trace.deterministic_view():
+        h.update(json.dumps(e, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "3ee33be66ea1b25438fa08c3ca904d6010fc227312ba1b330ea5d4ff2a1a13a8"
+    assert orders_digest(res.pipeline.emitted) == (
+        "0b8bf5f36e07e3464ddda41401350e320ecc22e80c8fd0316a8a90471d420319"
+    )
+
+
+def _receipts(sim):
+    return [(e["replica"], e["tx"], e["loi"]) for e in sim.trace.events
+            if e["ev"] == "tx_received"]
+
+
+def test_digest_listed_twice_in_a_batch_gets_one_loi():
+    # decoded wire batches do not reject a repeated digest
+    cfg = SimConfig(n=5, f=1, gamma=1, seed=3, max_rounds=4,
+                    delivery_model="lockstep", batch_wire="binary")
+    sim = Simulator(cfg)
+    sim.advance_round()
+    tx = tx_digest("twice")
+    sim.workers[0].entry_queue = [Entry(DIRECT, tx, 0, "twice"), Entry(INDIRECT, tx, 0)]
+    [vertex] = [v for v, _ in sim.advance_round() if v.author == 0]
+    assert [e.digest for e in vertex.batch.entries] == [tx, tx]
+    assert _receipts(sim) == [(j, tx, 0) for j in range(1, 5)]
+    assert all(sim.workers[j].lois == {tx: 0} for j in range(1, 5))
+
+
+def test_batch_of_known_digests_adds_no_receipt():
+    cfg = SimConfig(n=5, f=1, gamma=1, seed=3, max_rounds=4, delivery_model="lockstep")
+    sim = Simulator(cfg)
+    sim.advance_round()
+    tx = tx_digest("known")
+    for j in range(5):
+        sim.workers[j].observe_client("known", tx)
+    receipts = _receipts(sim)
+    lois = [dict(w.lois) for w in sim.workers]
+    pairs = sim.advance_round()
+    assert [e.digest for v, _ in pairs for e in v.batch.entries] == [tx] * 5
+    assert _receipts(sim) == receipts
+    assert [w.lois for w in sim.workers] == lois
 
 
 def test_infeasible_crash_schedule_rejected():

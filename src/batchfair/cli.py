@@ -16,7 +16,7 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--scenario", help=f"one of: {', '.join(scenario_names())}")
     p.add_argument("--config", help="path to a scenario JSON document")
     p.add_argument("--serial", action="store_true",
-                   help="run the fairness layer strictly serially")
+                   help="replay serially for verification (the in-loop layer is always serial)")
     p.add_argument("--threads", type=int, metavar="K",
                    help="concurrent fairness task slots (default: the config's task_slots)")
     p.add_argument("--seed", type=int, default=0)

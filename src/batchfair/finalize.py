@@ -2,12 +2,12 @@
 
 Phase 3 (graph.py) linearizes every subdag with no missing pair. A graph with
 missing pairs is parked with a running tally of the FairUpdate votes carried
-by later committed subdags: each author's first vote is added once, in
-arrival order (votes that arrive before their target parks are added when it
-parks), and the tally stops at the first author count from n-f up at which
-every missing pair has a direction at tau_i. apply_fair_update installs
-those directions and finalize_order linearizes the augmented graph's SCCs.
-Emit drains completed orders strictly in subdag commit order.
+by later committed subdags. A vote counts only if its target is parked when
+the record carrying it lands; each author's first vote is added once, in
+arrival order, and the tally stops at the first author count from n-f up at
+which every missing pair has a direction at tau_i. apply_fair_update
+installs those directions and finalize_order linearizes the augmented
+graph's SCCs. Emit drains completed orders strictly in subdag commit order.
 """
 
 from __future__ import annotations
@@ -15,19 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import DepGraph, condensation_order, linearize, tarjan_scc
-from .types import CommitRecord, FinalOrder
+from .types import CommitRecord, FairUpdateVote, FinalOrder
 
 
 @dataclass
 class Tally:
-    """A parked graph and the running tally of its first ``votes`` authors:
-    ``counts[(u, v)]`` (u < v, per missing pair) holds the u->v and v->u
+    """A parked graph and the running tally of the ``authors`` counted so
+    far: ``counts[(u, v)]`` (u < v, per missing pair) holds the u->v and v->u
     votes, and ``short`` counts the pairs below tau_i in both directions."""
 
     graph: DepGraph
     counts: dict[tuple[str, str], list[int]]
     short: int
-    votes: int = 0
+    authors: set[int] = field(default_factory=set)
 
 
 @dataclass
@@ -35,66 +35,56 @@ class ParkedStore:
     """Per-replica finalization state (Algorithm-3 shape).
 
     A parked subdag resolves once ``need`` (n-f) distinct authors have voted
-    and each missing pair has ``tau_i`` votes in some direction. ``votes``
-    holds each target's first vote per author, in arrival order."""
+    and each missing pair has ``tau_i`` votes in some direction."""
 
     need: int
     tau_i: int
     parked: dict[int, Tally] = field(default_factory=dict)
-    votes: dict[int, dict[int, tuple[tuple[str, str], ...]]] = field(default_factory=dict)
     ready: dict[int, FinalOrder] = field(default_factory=dict)
     next: int = 1
 
 
 def _sufficient(store: ParkedStore, tally: Tally) -> bool:
-    return tally.votes >= store.need and not tally.short
+    return len(tally.authors) >= store.need and not tally.short
 
 
-def _add(store: ParkedStore, tally: Tally, edges: tuple[tuple[str, str], ...]) -> bool:
+def _add(store: ParkedStore, tally: Tally, vote: FairUpdateVote) -> bool:
     """Count one more author's vote, ignoring edges outside the missing set;
     True once the tally is sufficient."""
     tau_i = store.tau_i
-    for u, v in edges:
+    for u, v in vote.edges:
         pair, side = ((u, v), 0) if u <= v else ((v, u), 1)
         slot = tally.counts.get(pair)
         if slot is not None:
             slot[side] += 1
             if slot[side] == tau_i and slot[1 - side] < tau_i:
                 tally.short -= 1
-    tally.votes += 1
+    tally.authors.add(vote.author)
     return _sufficient(store, tally)
 
 
-def park(store: ParkedStore, graph: DepGraph) -> bool:
-    """Park a graph with missing pairs and count the votes already buffered
-    for it, in arrival order; True when they suffice to resolve it."""
-    tally = Tally(graph, {pair: [0, 0] for pair in graph.missing}, len(graph.missing))
-    store.parked[graph.r] = tally
-    return any(_add(store, tally, edges) for edges in store.votes.get(graph.r, {}).values())
+def park(store: ParkedStore, graph: DepGraph) -> None:
+    """Park a graph with missing pairs under an empty tally."""
+    counts = {pair: [0, 0] for pair in graph.missing}
+    store.parked[graph.r] = Tally(graph, counts, len(graph.missing))
 
 
 def route_votes(store: ParkedStore, record: CommitRecord) -> list[int]:
-    """Record a committed subdag's votes; first vote per (author, target) wins.
+    """Tally a landing subdag's votes; first vote per (author, target) wins.
 
-    Votes targeting already-finalized subdags (emitted, or ready to emit)
-    are dropped, and so are votes for a subdag not committed before the
-    record that carries them, which no honest worker casts; a sufficient
-    tally takes no further vote. Votes for a committed subdag that is not
-    parked yet are buffered. Returns, ascending, the parked subdag ids whose
-    tally became sufficient.
+    A vote counts only if its target is parked: votes for a finalized
+    subdag, or for one that has not landed (which no honest worker casts,
+    since FairPropose goes out when its subdag lands), are dropped, and a
+    sufficient tally takes no further vote. Returns, ascending, the parked
+    subdag ids whose tally became sufficient.
     """
     ready = []
     for vote in record.votes():
-        r = vote.target_r
-        if r >= record.r or r < store.next or r in store.ready:
+        tally = store.parked.get(vote.target_r)
+        if tally is None or vote.author in tally.authors or _sufficient(store, tally):
             continue
-        by_author = store.votes.setdefault(r, {})
-        tally = store.parked.get(r)
-        if vote.author in by_author or (tally is not None and _sufficient(store, tally)):
-            continue
-        by_author[vote.author] = vote.edges
-        if tally is not None and _add(store, tally, vote.edges):
-            ready.append(r)
+        if _add(store, tally, vote):
+            ready.append(vote.target_r)
     return sorted(ready)
 
 
@@ -135,7 +125,6 @@ def finalize_order(graph: DepGraph) -> FinalOrder:
 
 def mark_ready(store: ParkedStore, order: FinalOrder) -> None:
     store.ready[order.r] = order
-    store.votes.pop(order.r, None)
 
 
 def emit(store: ParkedStore) -> list[FinalOrder]:

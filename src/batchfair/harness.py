@@ -413,8 +413,9 @@ def measure_speedup(
 def sweep(grid: dict, seeds: list[int], out_path: str | Path | None = None) -> list[dict]:
     """Grid sweep over n/f/gamma/txs; one averaged row per cell.
 
-    Infeasible cells (threshold violations) are marked skipped with the
-    offending reason rather than dropped.
+    Infeasible cells (a ConfigError: threshold violations, unreachable
+    quorums) are marked skipped with the offending reason rather than
+    dropped; any other error is a defect and propagates.
     """
     from .scenarios import sweep_scenario
 
@@ -430,7 +431,7 @@ def sweep(grid: dict, seeds: list[int], out_path: str | Path | None = None) -> l
                         try:
                             sc = sweep_scenario(n, f, gamma, seed, txs=txs)
                             report, _ = execute_scenario(sc, serial=True)
-                        except (ConfigError, ValueError) as exc:
+                        except ConfigError as exc:
                             error = str(exc)
                             break
                         metrics.append(

@@ -24,17 +24,11 @@ def parse_gamma(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise ConfigError(f"gamma must be a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
+    if isinstance(value, (int, float, str)):
+        try:
+            return Fraction(str(value))  # "True" from a bool does not parse
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConfigError(f"cannot parse gamma from {value!r}")
 
 
@@ -74,6 +68,9 @@ def solid_threshold(n: int, f: int) -> int:
     return n - 2 * f
 
 
+_KINDS = {"int": int, "bool": bool, "str": str}  # checked SimConfig field types
+
+
 @dataclass
 class SimConfig:
     """Parameters of one deterministic simulation run.
@@ -105,15 +102,23 @@ class SimConfig:
     task_slots: int = 4  # concurrent fairness task slots for replays
 
     def __post_init__(self) -> None:
+        for fld in fields(self):
+            kind = _KINDS.get(fld.type)  # annotations are strings in this module
+            value = getattr(self, fld.name)
+            # bool is an int subclass, so neither may stand in for the other
+            if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+                raise ConfigError(f"{fld.name} must be {fld.type}, got {value!r}")
         self.gamma = parse_gamma(self.gamma)
         self.quorum = quorum_size(self.n, self.f, self.gamma)  # validates n, f, gamma
         self.readiness = max(self.quorum, self.n - self.f)
         if self.wave_len < 2:
             raise ConfigError(f"wave_len must be >= 2, got {self.wave_len}")
         if self.delivery_model not in ("uniform", "lockstep"):
-            raise ConfigError(f"unknown delivery model {self.delivery_model!r}")
+            raise ConfigError(f"delivery_model: unknown delivery model {self.delivery_model!r}")
         if self.batch_wire not in ("", "binary"):
-            raise ConfigError(f"unknown batch wire format {self.batch_wire!r}")
+            raise ConfigError(f"batch_wire: unknown batch wire format {self.batch_wire!r}")
+        if self.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 bits")
         if self.delay_min < 0:

@@ -5,9 +5,10 @@ decides each subdag's support classes once. Phase 1 (the weight matrix) is an
 integer kernel over the snapshot's index orders, a pure function of the
 snapshot, and is the only step that can run apart from the others. Phase 2
 filters against ``CumulativeState.proposed``, which holds what every earlier
-subdag retained, and Emit drains in commit order, so everything after phase
-1 runs on the coordinator, one subdag at a time, in commit order. Both
-drivers share that landing step, ``_land``, and the vote-routing step:
+subdag retained, a vote counts only if its target is parked when the vote's
+record lands, and Emit drains in commit order, so everything after phase 1
+runs on the coordinator, one subdag at a time, in commit order. That is the
+landing step, ``_land``, and both drivers share it:
 
 * event/serial mode (``on_commit``, ``replay``): each committed subdag runs
   phase 1 inline and lands at once (this is also how the simulator drives
@@ -16,15 +17,13 @@ drivers share that landing step, ``_land``, and the vote-routing step:
   pool for a window of in-flight subdags, and the coordinator lands their
   results in commit order.
 
-Both modes produce bit-identical emitted orders; only wall-clock differs.
-Each parked subdag's running vote tally stops at the shortest sufficient
-prefix of the vote arrival order (finalize.py), so the outcome does not
-depend on how far concurrent mode runs ahead. A process pool (not threads)
-does the parallel work because the phase-1 kernel is pure Python and the
-GIL serializes threads. A task ships the admitted count and every author's
-order as integer indices, and its result is the flat ``array('I')`` of
-counts alone: no digest crosses the pool in either direction, and the
-coordinator attaches the counts to its own snapshot.
+Both modes land the same records in the same order, so they produce
+bit-identical emitted orders; only wall-clock differs. A process pool (not
+threads) does the parallel work because the phase-1 kernel is pure Python
+and the GIL serializes threads. A task ships the admitted count and every
+author's order as integer indices, and its result is the flat
+``array('I')`` of counts alone: no digest crosses the pool in either
+direction, and the coordinator attaches the counts to its own snapshot.
 """
 
 from __future__ import annotations
@@ -94,19 +93,19 @@ class FairnessPipeline:
                 }
             )
 
-    def _route(self, record: CommitRecord) -> None:
-        """Tally a committed subdag's votes and resolve every target they complete."""
-        for r in route_votes(self.store, record):
-            apply_fair_update(self.store, r)
-            self._drain_emit()
-
     def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
         t0 = perf_counter_ns()
         snap = extract_snapshot(self.state, record)
         return snap, perf_counter_ns() - t0
 
-    def _land(self, snap: Snapshot, extract_ns: int, weights_ns: int) -> None:
-        """Phases 2-4, FairPropose, the tally and Emit for one subdag, in commit order."""
+    def _land(
+        self, record: CommitRecord, snap: Snapshot, extract_ns: int, weights_ns: int
+    ) -> None:
+        """Land one subdag, in commit order: tally its votes and resolve every
+        target they complete, then phases 2-4, FairPropose and Emit."""
+        for r in route_votes(self.store, record):
+            apply_fair_update(self.store, r)
+        self._drain_emit()
         r = snap.r
         t0 = perf_counter_ns()
         graph = phase2_build_graph(snap, self.state.proposed, self.state.tau_i)
@@ -153,8 +152,7 @@ class FairnessPipeline:
             )
             if self.fairpropose_cb is not None:
                 self.fairpropose_cb(r, set(parked.missing))
-            if park(self.store, parked):
-                apply_fair_update(self.store, r)
+            park(self.store, parked)
         self._drain_emit()
 
     # -- event/serial mode -------------------------------------------------------
@@ -162,11 +160,10 @@ class FairnessPipeline:
     def on_commit(self, record: CommitRecord, now: int = 0) -> None:
         """Process one committed subdag to completion (serial task execution)."""
         self.now = now
-        self._route(record)
         snap, extract_ns = self._extract(record)
         t0 = perf_counter_ns()
         phase1_weights(snap)
-        self._land(snap, extract_ns, perf_counter_ns() - t0)
+        self._land(record, snap, extract_ns, perf_counter_ns() - t0)
 
     def finish(self) -> PipelineResult:
         return PipelineResult(self.emitted, self.profiles, sorted(self.store.parked))
@@ -184,25 +181,25 @@ class FairnessPipeline:
     ) -> PipelineResult:
         """Concurrent replay: phase 1 parallel across in-flight subdags.
 
-        At most ``slots`` phase-1 tasks are in flight. Results land strictly
-        in commit order, so emitted output is scheduling-independent.
+        At most ``slots`` phase-1 tasks are in flight. Only extraction and
+        phase 1 run ahead; each record lands, votes first, strictly in commit
+        order, so emitted output is scheduling-independent.
         """
         own_pool = pool is None
         if own_pool:
             pool = ProcessPoolExecutor(max_workers=slots)
-        inflight: deque[tuple[Snapshot, int, Future]] = deque()
+        inflight: deque[tuple[CommitRecord, Snapshot, int, Future]] = deque()
 
         def land_oldest() -> None:
-            snap, extract_ns, fut = inflight.popleft()
+            rec, snap, extract_ns, fut = inflight.popleft()
             snap.weights, weights_ns = fut.result()
-            self._land(snap, extract_ns, weights_ns)
+            self._land(rec, snap, extract_ns, weights_ns)
 
         try:
             for rec in records:
-                self._route(rec)
                 snap, extract_ns = self._extract(rec)
                 fut = pool.submit(_weights_task, len(snap.admitted), snap.orders)
-                inflight.append((snap, extract_ns, fut))
+                inflight.append((rec, snap, extract_ns, fut))
                 if len(inflight) >= max(1, slots):
                     land_oldest()
             while inflight:

@@ -141,6 +141,24 @@ def test_json_batch_wire_is_config_error(tmp_path):
         load_doc(tmp_path, batch_wire="json")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "1/0"),
+    ("gamma", "abc"),
+    ("n", "5"),
+    ("n", True),
+    ("f", 1.0),
+    ("delay_max", None),
+    ("max_rounds", "x"),
+    ("max_rounds", 0),
+    ("seed", 1.5),
+    ("self_reference", "no"),
+    ("delivery_model", None),
+])
+def test_malformed_config_field_is_config_error(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_doc(tmp_path, **{key: value})
+
+
 def test_sweep_marks_infeasible_cells_skipped(tmp_path):
     out = tmp_path / "sweep.csv"
     rows = sweep({"n": [5, 4], "f": [1], "gamma": ["1"], "txs": [20]}, [1], out)
@@ -150,6 +168,18 @@ def test_sweep_marks_infeasible_cells_skipped(tmp_path):
     with open(out) as fh:
         csv_rows = list(csv.DictReader(fh))
     assert {r["status"] for r in csv_rows} == {"ok", "skipped"}
+
+
+def test_sweep_raises_a_pipeline_defect(monkeypatch):
+    # a pipeline invariant raises ValueError; only a ConfigError marks a cell skipped
+    from batchfair import pipeline
+
+    def broken(*args, **kwargs):
+        raise ValueError("snapshot out of commit order")
+
+    monkeypatch.setattr(pipeline, "phase2_build_graph", broken)
+    with pytest.raises(ValueError, match="out of commit order"):
+        sweep({"n": [5], "f": [1], "gamma": ["1"], "txs": [20]}, [1])
 
 
 def test_sweep_empty_grid_empty_csv(tmp_path):

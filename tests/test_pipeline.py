@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from batchfair import finalize, graph, params
+from batchfair import finalize, graph, params, pipeline
 from batchfair.adversaries import (
     REVERSE_ORDER,
     SILENT_CRASH,
@@ -13,6 +13,7 @@ from batchfair.adversaries import (
 from batchfair.dagsim import Simulator
 from batchfair.params import SimConfig
 from batchfair.pipeline import FairnessPipeline, _weights_task
+from batchfair.scenarios import sweep_scenario
 from batchfair.types import orders_digest
 
 
@@ -157,6 +158,35 @@ def test_quorum_arithmetic_once_per_config(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_every_driver_routes_each_record_when_it_lands(monkeypatch, pool):
+    """Serial and concurrent replay route the same records, in the same
+    order, and resolve the same subdags from them: no vote waits for its
+    target to park, and no subdag resolves anywhere but in vote routing."""
+    sc = sweep_scenario(5, 1, "1", 1)
+    cfg = sc.config
+    res = Simulator(cfg, sc.faults, sc.clients, sc.spikes).run()
+    route_votes = pipeline.route_votes
+    log: list[tuple[int, list[int]]] = []
+
+    def logged(store, record):
+        targets = route_votes(store, record)
+        log.append((record.r, targets))
+        return targets
+
+    monkeypatch.setattr(pipeline, "route_votes", logged)
+    serial = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay(res.records)
+    want = list(log)
+    assert [r for r, _ in want] == [rec.r for rec in res.records]
+    assert any(targets for _, targets in want), "scenario must resolve parked subdags"
+    for slots in (1, 2, 3, 4):
+        log.clear()
+        conc = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay_concurrent(
+            res.records, slots=slots, pool=pool
+        )
+        assert log == want, slots
+        assert conc.emitted == serial.emitted == res.pipeline.emitted
+
+
 @pytest.mark.parametrize("slots", [1, 2, 4])
 def test_scheduling_independence_across_slot_counts(slots, pool):
     res, cfg = simulate(seed=9, txs=60, skew=0.4)
@@ -260,7 +290,7 @@ def test_equivalence_over_randomized_configurations(pool):
                 n, rng.choice([30, 60]), 1, cfg.max_rounds - 8, seed=seed, skew_p=skew
             )
             res = Simulator(cfg, faults=faults, clients=clients).run()
-        except (ConfigError, ValueError):
+        except ConfigError:
             continue  # infeasible corner (tight quorum + scheduled crashes)
         conc = FairnessPipeline(n, f, cfg.gamma).replay_concurrent(
             res.records, slots=2, pool=pool

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from batchfair import harness
-from batchfair.scenarios import build_scenario
+from batchfair.scenarios import build_scenario, sweep_scenario
 
 PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
 
@@ -43,3 +43,19 @@ def test_probes_resolve_and_count_in_loop_phase1(pool):
     assert tracer.counters["graph.weight_cells"] == sum(v * v for v in built)
     assert tracer.counters["graph.admitted_txs"] == sum(built)
     assert tracer.kept.emitted == timer.kept.emitted == res.pipeline.emitted
+
+
+def test_probes_count_missing_pairs_and_resolved_tallies(pool):
+    # this sweep run parks and resolves subdags, which condorcet_minimal never does
+    probes = load_probes()
+    tracer = probes.Tracer()
+    with tracer.installed():
+        report, res = harness.execute_scenario(
+            sweep_scenario(5, 1, "1", 1, txs=40), serial=False, slots=2, pool=pool
+        )
+    assert all(report.verdicts.values())
+    parked = [e for e in res.trace.events if e["ev"] == "graph_parked"]
+    assert parked and not res.pipeline.parked_left
+    # the in-loop pipeline and the replay each build and resolve every graph
+    assert tracer.counters["graph.missing_pairs"] == 2 * sum(len(e["pairs"]) for e in parked)
+    assert tracer.counters["finalize.tallies_resolved"] == 2 * len(parked)

@@ -18,7 +18,7 @@ from math import ceil
 
 import numpy as np
 
-from .graph import condensation_order, linearize, tarjan_scc
+from .graph import linearize, scc_positions
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -98,8 +98,7 @@ class FairDagModel:
         adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
         for u, v in g.edges.values():
             adj[idx[u], idx[v]] = True
-        sccs = condensation_order(tarjan_scc(adj), adj)
-        order = list(linearize(g.r, nodes, sccs).digests)
+        order = list(linearize(g.r, nodes, scc_positions(adj)).digests)
         g.finalized_order = order
         self.finalizations.append((g.r, at_subdag, order))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import DepGraph, condensation_order, linearize, tarjan_scc
+from .graph import DepGraph, linearize, scc_positions
 from .types import CommitRecord, FairUpdateVote, FinalOrder
 
 
@@ -119,8 +119,7 @@ def finalize_order(graph: DepGraph) -> FinalOrder:
     ordered before linearization.
     """
     assert not graph.missing, "finalize requires all pairs resolved"
-    sccs = condensation_order(tarjan_scc(graph.adj), graph.adj)
-    return linearize(graph.r, graph.nodes, sccs)
+    return linearize(graph.r, graph.nodes, scc_positions(graph.adj))
 
 
 def mark_ready(store: ParkedStore, order: FinalOrder) -> None:

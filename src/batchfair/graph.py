@@ -4,23 +4,24 @@ Snapshot extraction decides a subdag's support classes, once: it counts how
 many authors list each unclaimed pending digest, admits those at tau_i,
 marks those at tau_s solid, and passes each author's admitted contributions
 on as integer indices into the admitted list. Phase 1, the dominant cost, is
-then an integer kernel that counts the pairwise weight matrix from those
-index orders (a pure function of the snapshot). Phase 2 drops the admitted
+then a numpy kernel that counts the pairwise weight matrix from those index
+orders (a pure function of the snapshot). Phase 2 drops the admitted
 transactions that an earlier subdag already retained (``CumulativeState.proposed``)
-and turns the weights into a k x k boolean adjacency matrix. Phase 3
-decomposes it into SCCs and truncates past the anchor. When no retained pair
-is missing, phase 3 also linearizes the retained SCCs into the subdag's final
-order; otherwise it returns the truncated graph, which the coordinator
-(pipeline.py) parks until votes resolve its missing edges.
+and turns the weights into a k x k boolean adjacency matrix. Phase 3 gives
+each vertex its SCC's canonical position (``scc_positions``) and truncates
+past the anchor. When no retained pair is missing, phase 3 also linearizes
+the retained SCCs into the subdag's final order; otherwise it returns the
+truncated graph, which the coordinator (pipeline.py) parks until votes
+resolve its missing edges.
 
 Phase 1 is the step a process pool runs (``weight_counts``), so what
 crosses the process boundary is small: the admitted count and index lists
-in, a flat ``array('I')`` out, which pickles as raw bytes (the workers build
-no ndarray and see no digest). The counts land in ``Snapshot.weights``, and
-phase 2 views them as an m x m matrix without copying, cutting edges at
-``CumulativeState.tau_i``, the one integer threshold that admission and
-the vote tally use too. From phase 2 on, ``DepGraph.adj`` is a boolean
-ndarray whose vertices ascend by digest.
+in, the m x m count matrix out, in the smallest unsigned dtype that holds
+the author count (the workers see no digest). The counts land in
+``Snapshot.weights``, and phase 2 cuts edges at ``CumulativeState.tau_i``,
+the one integer threshold that admission and the vote tally use too. From
+phase 2 on, ``DepGraph.adj`` is a boolean ndarray whose vertices ascend by
+digest.
 
 Two mechanisms keep concurrent per-subdag tasks single-graph-safe: solid
 claims recorded synchronously at snapshot extraction, and phase 2's filter
@@ -29,7 +30,7 @@ against everything earlier subdags retained, applied in commit order.
 
 from __future__ import annotations
 
-from array import array
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,7 @@ class Snapshot:
     ``admitted`` holds the digests with support >= tau_i, ascending; ``solid``
     those among them with support >= tau_s. ``orders`` maps each author to
     its unclaimed admitted contributions, in contribution order, as indices
-    into ``admitted``. Phase 1 fills ``weights``: weights[i*m + j] is the
+    into ``admitted``. Phase 1 fills ``weights``: weights[i, j] is the
     number of orders placing admitted[i] before admitted[j].
     """
 
@@ -62,7 +63,7 @@ class Snapshot:
     admitted: list[str]
     solid: frozenset[str]
     orders: dict[int, list[int]]
-    weights: array | None = None
+    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -159,15 +160,21 @@ def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
 # -- Phase 1 ------------------------------------------------------------------
 
 
-def weight_counts(m: int, orders: dict[int, list[int]]) -> array:
-    """The integer kernel: flat m*m pair counts over index orders."""
-    weights = array("I", bytes(4 * m * m))
+def weight_counts(m: int, orders: dict[int, list[int]]) -> np.ndarray:
+    """The pair-enumeration kernel: W[i, j] is the number of orders listing
+    admitted[i] before admitted[j].
+
+    Each author's order adds one to every ordered pair it lists, in one
+    fancy-index add of a strict upper triangle. The dtype holds the author
+    count, so no cell can wrap.
+    """
+    w = np.zeros((m, m), dtype=np.min_scalar_type(len(orders)))
+    longest = max(map(len, orders.values()), default=0)
+    before = np.triu(np.ones((longest, longest), dtype=w.dtype), 1)
     for fi in orders.values():
-        for a, i in enumerate(fi):
-            base = i * m
-            for j in fi[a + 1:]:
-                weights[base + j] += 1
-    return weights
+        ix = np.array(fi)
+        w[ix[:, None], ix] += before[: len(fi), : len(fi)]
+    return w
 
 
 def phase1_weights(snapshot: Snapshot) -> Snapshot:
@@ -192,10 +199,9 @@ def phase2_build_graph(snap: Snapshot, proposed, tau_i: int) -> DepGraph:
     exact tie the smaller digest (the smaller index) is the source. Pairs
     below tau_i in both directions become missing edges, listed row-major.
     """
-    m = len(snap.admitted)
     kept = [i for i, d in enumerate(snap.admitted) if d not in proposed]
     nodes = [snap.admitted[i] for i in kept]
-    w = np.asarray(snap.weights).reshape(m, m)[np.ix_(kept, kept)]
+    w = snap.weights[np.ix_(kept, kept)]
     decided = (w >= tau_i) | (w.T >= tau_i)
     adj = decided & ((w > w.T) | np.triu(w == w.T, 1))
     rows, cols = np.nonzero(np.triu(~decided, 1))
@@ -207,115 +213,69 @@ def phase2_build_graph(snap: Snapshot, proposed, tau_i: int) -> DepGraph:
 # -- SCC machinery -------------------------------------------------------------
 
 
-def _successors(adj: np.ndarray) -> list[list[int]]:
-    """Out-neighbour lists of a boolean adjacency matrix, each ascending."""
-    cols = (np.flatnonzero(adj) % len(adj)).tolist()
-    ends = np.cumsum(np.count_nonzero(adj, axis=1)).tolist()
-    return [cols[s:e] for s, e in zip([0, *ends], ends)]
+def _reach(adj: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
+    """Vertices of ``allowed`` that ``start`` reaches through ``allowed``
+    (``start`` included), breadth first: one row gather per level."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
-def tarjan_scc(adj: np.ndarray) -> list[list[int]]:
-    """Iterative Tarjan; returns SCCs (sorted index lists) in a valid
-    topological order.
+def scc_positions(adj: np.ndarray) -> np.ndarray:
+    """Each vertex's SCC position in the canonical condensation order.
 
-    Deterministic: roots and successors are visited in index order.
-    """
-    succ = _successors(adj)
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = succ[v]
-            for i in range(pi, len(neighbors)):
-                w = neighbors[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    scc.append(w)
-                    if w == v:
-                        break
-                scc.sort()
-                sccs.append(scc)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    sccs.reverse()  # Tarjan emits in reverse topological order
-    return sccs
-
-
-def condensation_order(sccs: list[list[int]], adj: np.ndarray) -> list[list[int]]:
-    """Canonical topological order of the condensation.
-
-    Kahn's algorithm, ties broken by the smallest member index, which is the
+    SCCs come from forward-backward reachability (Fleischer, Hendrickson and
+    Pinar, 2000): the SCC of the smallest unassigned vertex is what it
+    reaches among the unassigned vertices and what reaches it within that
+    forward set. So each SCC's label is its smallest member's rank among the
+    SCC minima. The canonical order is Kahn's algorithm over the
+    condensation, ties broken by the smallest member index, which is the
     smallest member digest because vertices ascend by digest. The anchor
     truncation rule depends on which valid topological order is used, so this
     canonical rule is part of the protocol, not an implementation detail.
     """
-    import heapq
-
-    if not sccs:
-        return []
-    # group rows and columns by SCC, then OR each block into one DAG cell
-    members = [v for scc in sccs for v in scc]
-    starts = np.cumsum([0, *(len(scc) for scc in sccs[:-1])])
-    dag = np.logical_or.reduceat(adj[np.ix_(members, members)], starts, axis=0)
-    dag = np.logical_or.reduceat(dag, starts, axis=1)
+    k = len(adj)
+    label = np.full(k, -1)
+    if k == 0:
+        return label
+    reverse = adj.T.copy()  # row v: the vertices with an edge into v
+    c = 0
+    for pivot in range(k):
+        if label[pivot] < 0:
+            forward = _reach(adj, pivot, label < 0)
+            label[_reach(reverse, pivot, forward)] = c
+            c += 1
+    # Kahn over the condensation; labels ascend with their smallest member
+    dag = np.zeros((c, c), dtype=bool)
+    for j in range(c):
+        dag[j, label[adj[label == j].any(axis=0)]] = True
     np.fill_diagonal(dag, False)
-    out_edges = _successors(dag)
     indeg = np.count_nonzero(dag, axis=0).tolist()
-    keys = [min(scc) for scc in sccs]
-    ready = [(keys[i], i) for i in range(len(sccs)) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        _, i = heapq.heappop(ready)
-        order.append(i)
-        for b in out_edges[i]:
+    out_edges = [np.flatnonzero(row).tolist() for row in dag]
+    ready = [j for j in range(c) if indeg[j] == 0]
+    rank = np.empty(c, dtype=label.dtype)
+    for position in range(c):
+        j = heapq.heappop(ready)
+        rank[j] = position
+        for b in out_edges[j]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                heapq.heappush(ready, (keys[b], b))
-    assert len(order) == len(sccs), "condensation contained a cycle"
-    return [sccs[i] for i in order]
+                heapq.heappush(ready, b)
+    return rank[label]
 
 
-def linearize(r: int, nodes: list[str], sccs: list[list[int]]) -> FinalOrder:
-    """Emit each SCC, in the given order, as one contiguous batch sorted by
-    transaction digest."""
-    digests: list[str] = []
-    batches: list[tuple[int, int]] = []
-    for scc in sccs:
-        start = len(digests)
-        digests.extend(sorted(nodes[v] for v in scc))
-        batches.append((start, len(digests)))
-    return FinalOrder(r, tuple(digests), tuple(batches))
+def linearize(r: int, nodes: list[str], pos: np.ndarray) -> FinalOrder:
+    """Emit each SCC, in position order, as one contiguous batch sorted by
+    transaction digest; ``pos`` holds every position from 0 up to its max."""
+    order = np.argsort(pos, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(pos)).tolist()
+    return FinalOrder(
+        r, tuple(nodes[v] for v in order), tuple(zip([0, *ends[:-1]], ends))
+    )
 
 
 # -- Phase 3 ------------------------------------------------------------------
@@ -333,19 +293,13 @@ def phase3_anchor(graph: DepGraph) -> tuple[FinalOrder | DepGraph, int, list[str
     they already are the truncated graph's final order), else the truncated
     graph to park; then the anchor and the retained digests.
     """
-    sccs = condensation_order(tarjan_scc(graph.adj), graph.adj)
-    solid = graph.solid.tolist()
-    anchor = 0
-    for j, scc in enumerate(sccs, 1):
-        if any(solid[v] for v in scc):
-            anchor = j
-    retained = sorted(v for scc in sccs[:anchor] for v in scc)
-    nodes = [graph.nodes[v] for v in retained]
+    pos = scc_positions(graph.adj)
+    anchor = int(pos[graph.solid].max(initial=-1)) + 1
+    kept = np.flatnonzero(pos < anchor)
+    nodes = [graph.nodes[v] for v in kept.tolist()]
     kept_set = set(nodes)
     missing = [(u, v) for u, v in graph.missing if u in kept_set and v in kept_set]
     if not missing:
-        return linearize(graph.r, graph.nodes, sccs[:anchor]), anchor, nodes
-    truncated = DepGraph(
-        graph.r, nodes, graph.adj[np.ix_(retained, retained)], missing, graph.solid[retained]
-    )
+        return linearize(graph.r, nodes, pos[kept]), anchor, nodes
+    truncated = DepGraph(graph.r, nodes, graph.adj[np.ix_(kept, kept)], missing, graph.solid[kept])
     return truncated, anchor, nodes

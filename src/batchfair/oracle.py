@@ -95,18 +95,6 @@ def _condensation(adj: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(comp_of == k) for k in order]
 
 
-def reachability_scc(nodes: list[str], edges: set[tuple[str, str]]) -> list[list[str]]:
-    """SCCs of a digest graph by reachability closure, in canonical
-    condensation order (Kahn with ties broken by smallest member digest).
-    Members of each SCC are listed in digest order."""
-    nodes = sorted(nodes)
-    idx = {d: i for i, d in enumerate(nodes)}
-    adj = np.zeros((len(nodes), len(nodes)), dtype=bool)
-    for u, v in edges:
-        adj[idx[u], idx[v]] = True
-    return [[nodes[i] for i in scc] for scc in _condensation(adj)]
-
-
 # -- serial reference -------------------------------------------------------------
 
 

@@ -1,8 +1,8 @@
 """Fairness-pipeline coordinator: per-subdag phases and the Emit gate.
 
 Extraction (``extract_snapshot``) runs on the coordinator in commit order and
-decides each subdag's support classes once. Phase 1 (the weight matrix) is an
-integer kernel over the snapshot's index orders, a pure function of the
+decides each subdag's support classes once. Phase 1 (the weight matrix) is a
+numpy kernel over the snapshot's index orders, a pure function of the
 snapshot, and is the only step that can run apart from the others. Phase 2
 filters against ``CumulativeState.proposed``, which holds what every earlier
 subdag retained, a vote counts only if its target is parked when the vote's
@@ -18,12 +18,13 @@ landing step, ``_land``, and both drivers share it:
   results in commit order.
 
 Both modes land the same records in the same order, so they produce
-bit-identical emitted orders; only wall-clock differs. A process pool (not
-threads) does the parallel work because the phase-1 kernel is pure Python
-and the GIL serializes threads. A task ships the admitted count and every
-author's order as integer indices, and its result is the flat
-``array('I')`` of counts alone: no digest crosses the pool in either
-direction, and the coordinator attaches the counts to its own snapshot.
+bit-identical emitted orders; only wall-clock differs. The parallel work runs
+on a process pool: the kernel makes one small numpy call per author, and
+threads would hold the GIL between those calls. A task ships the admitted
+count and every author's order as integer indices, and its result is the
+m x m count matrix alone, one byte per cell below 256 authors: no digest
+crosses the pool in either direction, and the coordinator attaches the counts
+to its own snapshot.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from batchfair.oracle import serial_reference
 from batchfair.pipeline import FairnessPipeline
 from batchfair.scenarios import build_scenario
 from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest
+from reference import reachability_scc
 
 
 def d(name) -> str:
@@ -321,8 +322,6 @@ def test_finalize_condorcet_single_contiguous_batch():
 
 
 def test_finalize_random_tournament_matches_condensation_oracle():
-    from batchfair.oracle import reachability_scc
-
     rng = random.Random(30)
     nodes = sorted(d(f"t{i}") for i in range(30))
     adj = np.zeros((30, 30), dtype=bool)

@@ -1,5 +1,4 @@
 import random
-from array import array
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,21 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from batchfair import pipeline
+from batchfair.dagsim import Simulator
 from batchfair.graph import (
     CumulativeState,
     Snapshot,
     apply_result,
     classify,
-    condensation_order,
     count_threshold,
     extract_snapshot,
     phase1_weights,
     phase2_build_graph,
     phase3_anchor,
-    tarjan_scc,
+    scc_positions,
+    weight_counts,
 )
 from batchfair.params import edge_threshold, solid_threshold
+from batchfair.scenarios import build_scenario
 from batchfair.types import CommitRecord, FinalOrder, VertexRecord, tx_digest
+from reference import reachability_scc
 
 
 def d(name) -> str:
@@ -56,8 +59,27 @@ def digest_orders(snap: Snapshot) -> dict:
 
 def weight(rep, u: str, v: str) -> int:
     """Cached phase-1 weight: orders placing u before v."""
-    m = len(rep.admitted)
-    return rep.weights[rep.admitted.index(u) * m + rep.admitted.index(v)]
+    return rep.weights[rep.admitted.index(u), rep.admitted.index(v)]
+
+
+def reference_weight_counts(m: int, orders: dict[int, list[int]]) -> np.ndarray:
+    """Brute-force phase 1: one Python increment per ordered pair an author
+    lists, into an unbounded integer matrix."""
+    weights = [[0] * m for _ in range(m)]
+    for fi in orders.values():
+        for a, i in enumerate(fi):
+            for j in fi[a + 1:]:
+                weights[i][j] += 1
+    return np.array(weights, dtype=np.int64).reshape(m, m)
+
+
+def assert_same_counts(weights: np.ndarray, m: int, orders: dict) -> None:
+    """Bit for bit: the reference's values, in an unsigned dtype that holds
+    the author count."""
+    assert weights.shape == (m, m)
+    assert weights.dtype.kind == "u"
+    assert np.iinfo(weights.dtype).max >= len(orders)
+    assert np.array_equal(weights, reference_weight_counts(m, orders))
 
 
 def edges_of(g) -> set[tuple[str, str]]:
@@ -120,9 +142,43 @@ def test_phase1_matches_brute_force_property(data, n):
     rep = phase1_weights(snapshot(orders, n, f, 1))
     for u, v in combinations(rep.admitted, 2):
         assert (weight(rep, u, v), weight(rep, v, u)) == brute_force_weights(orders, u, v)
+    assert_same_counts(rep.weights, len(rep.admitted), rep.orders)
     # weight purity: rerunning yields identical results
     again = phase1_weights(snapshot(orders, n, f, 1))
-    assert again.weights == rep.weights and again.admitted == rep.admitted
+    assert np.array_equal(again.weights, rep.weights) and again.admitted == rep.admitted
+
+
+def test_phase1_counts_past_255_authors_do_not_wrap():
+    m = 6
+    rng = random.Random(300)
+    orders = {}
+    for author in range(300):
+        order = list(range(m)) if author < 280 else rng.sample(range(m), rng.randint(1, m))
+        orders[author] = order
+    weights = weight_counts(m, orders)
+    assert weights.dtype == np.uint16
+    assert weights[0, 1] >= 280
+    assert_same_counts(weights, m, orders)
+
+
+@pytest.mark.parametrize(
+    "name, seed", [("profile_bench", seed) for seed in range(5)] + [("speedup_bench", 0)]
+)
+def test_phase1_matches_reference_on_every_bench_snapshot(monkeypatch, name, seed):
+    """Every in-loop snapshot of the shipped benchmark scenarios."""
+    checked = []
+    kernel = pipeline.phase1_weights
+
+    def checking(snap):
+        kernel(snap)
+        assert_same_counts(snap.weights, len(snap.admitted), snap.orders)
+        checked.append(len(snap.admitted))
+        return snap
+
+    monkeypatch.setattr(pipeline, "phase1_weights", checking)
+    sc = build_scenario(name, seed=seed)
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    assert len(checked) == len(res.records) and max(checked) >= 100
 
 
 # -- phase 2 ------------------------------------------------------------------------
@@ -173,13 +229,12 @@ def scalar_phase2(report, proposed, tau_i: int):
     """
     keep = [x for x in report.admitted if x not in proposed]
     idx_of = {x: k for k, x in enumerate(report.admitted)}
-    m = len(report.admitted)
     w = report.weights
     edges, missing = set(), []
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
             ia, ib = idx_of[keep[a]], idx_of[keep[b]]
-            wab, wba = w[ia * m + ib], w[ib * m + ia]
+            wab, wba = int(w[ia, ib]), int(w[ib, ia])
             if wab >= tau_i or wba >= tau_i:
                 edges.add((keep[a], keep[b]) if wab >= wba else (keep[b], keep[a]))
             else:
@@ -191,14 +246,14 @@ def scalar_phase2(report, proposed, tau_i: int):
 @given(data=st.data(), m=st.integers(0, 12), tau_i=st.integers(1, 4))
 def test_phase2_masks_match_scalar_pair_rule(data, m, tau_i):
     admitted = sorted(d(f"w{i}") for i in range(m))
-    weights = array("I", bytes(4 * m * m))
+    weights = np.zeros((m, m), dtype=np.uint8)
     for i in range(m):
         for j in range(i + 1, m):
             wij = data.draw(st.integers(0, tau_i + 2))
             # exact ties, at, above and below tau, are what the tie rule decides
             tie = data.draw(st.booleans())
             wji = wij if tie else data.draw(st.integers(0, tau_i + 2))
-            weights[i * m + j], weights[j * m + i] = wij, wji
+            weights[i, j], weights[j, i] = wij, wji
     picks = st.sets(st.sampled_from(admitted)) if admitted else st.just(set())
     proposed = frozenset(data.draw(picks)) | {d("retained earlier")}
     solid = frozenset(data.draw(picks))
@@ -211,51 +266,107 @@ def test_phase2_masks_match_scalar_pair_rule(data, m, tau_i):
     assert g.solid.tolist() == [x in solid for x in keep]
 
 
-# -- tarjan + condensation -----------------------------------------------------------
+# -- SCC positions -----------------------------------------------------------------
 
 
-def test_tarjan_three_cycle_single_scc():
-    assert tarjan_scc(matrix(3, [(0, 1), (1, 2), (2, 0)])) == [[0, 1, 2]]
+def scc_members(adj: np.ndarray) -> list[list[int]]:
+    """The SCCs in canonical order, each as its ascending member indices."""
+    pos = scc_positions(adj)
+    return [np.flatnonzero(pos == p).tolist() for p in range(pos.max(initial=-1) + 1)]
 
 
-def test_tarjan_singleton_dag_in_topo_order():
-    sccs = tarjan_scc(matrix(4, [(0, 1), (1, 2), (2, 3)]))
-    assert sccs == [[0], [1], [2], [3]]
+def reference_members(adj: np.ndarray) -> list[list[int]]:
+    """The oracle closure's SCCs of the same graph, as member indices."""
+    nodes = sorted(d(f"v{i}") for i in range(len(adj)))
+    edges = {(nodes[u], nodes[v]) for u, v in zip(*np.nonzero(adj))}
+    index = {x: i for i, x in enumerate(nodes)}
+    return [[index[x] for x in scc] for scc in reachability_scc(nodes, edges)]
 
 
-def _random_digraph(rng, size, p):
-    nodes = sorted(d(f"v{i}") for i in range(size))
+def near_tournament(rng, size: int, p_missing: float, p_forward: float) -> np.ndarray:
+    """One direction or none per pair, the shape phase 2 hands phase 3."""
     adj = np.zeros((size, size), dtype=bool)
-    for u in range(size):
-        for v in range(size):
-            if u != v and rng.random() < p:
+    for u, v in combinations(range(size), 2):
+        if rng.random() >= p_missing:
+            if rng.random() < p_forward:
                 adj[u, v] = True
-    return nodes, adj
+            else:
+                adj[v, u] = True
+    return adj
 
 
-def test_tarjan_matches_reachability_oracle_random_50():
-    from batchfair.oracle import reachability_scc
+def test_scc_positions_empty_graph():
+    pos = scc_positions(np.zeros((0, 0), dtype=bool))
+    assert pos.shape == (0,)
 
+
+def test_scc_positions_one_vertex():
+    assert scc_positions(np.zeros((1, 1), dtype=bool)).tolist() == [0]
+
+
+def test_scc_three_cycle_single_scc():
+    assert scc_members(matrix(3, [(0, 1), (1, 2), (2, 0)])) == [[0, 1, 2]]
+
+
+def test_scc_one_giant_component():
+    # a Hamiltonian cycle through a random tournament makes one SCC of all
+    rng = random.Random(40)
+    size = 40
+    adj = near_tournament(rng, size, 0.0, 0.5)
+    cycle = rng.sample(range(size), size)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        adj[u, v], adj[v, u] = True, False
+    assert scc_positions(adj).tolist() == [0] * size
+    assert scc_members(adj) == reference_members(adj)
+
+
+@pytest.mark.parametrize("forward", [True, False])
+def test_scc_transitive_tournament_is_all_singletons(forward):
+    size = 30
+    rng = random.Random(30)
+    rank = rng.sample(range(size), size)  # vertex v sits at rank[v]
+    adj = np.zeros((size, size), dtype=bool)
+    for u, v in combinations(range(size), 2):
+        first, second = (u, v) if (rank[u] < rank[v]) == forward else (v, u)
+        adj[first, second] = True
+    pos = scc_positions(adj)
+    want = rank if forward else [size - 1 - x for x in rank]
+    assert pos.tolist() == want
+    assert scc_members(adj) == reference_members(adj)
+
+
+def test_scc_singleton_chain_in_topo_order():
+    assert scc_members(matrix(4, [(0, 1), (1, 2), (2, 3)])) == [[0], [1], [2], [3]]
+
+
+def test_scc_ties_break_by_smallest_member():
+    # sources {2} and {3}; once {2} is out, {1, 4} (key 1) goes before {3}
+    adj = matrix(5, [(3, 0), (1, 4), (2, 4), (4, 1)])
+    assert scc_members(adj) == [[2], [1, 4], [3], [0]]
+    assert scc_members(adj) == reference_members(adj)
+
+
+def test_scc_matches_reachability_oracle_random_50():
+    # a general digraph: some pairs carry both directions
     rng = random.Random(50)
-    nodes, adj = _random_digraph(rng, 50, 0.06)
-    edges = {(nodes[u], nodes[v]) for u, v in zip(*np.nonzero(adj))}
-    ours = condensation_order(tarjan_scc(adj), adj)
-    ours_named = [sorted(nodes[v] for v in scc) for scc in ours]
-    oracle = [sorted(scc) for scc in reachability_scc(nodes, edges)]
-    assert ours_named == oracle  # same SCCs, same canonical order
+    adj = np.zeros((50, 50), dtype=bool)
+    for u in range(50):
+        for v in range(50):
+            if u != v and rng.random() < 0.06:
+                adj[u, v] = True
+    assert scc_members(adj) == reference_members(adj)  # same SCCs, same canonical order
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), size=st.integers(1, 24), p=st.floats(0.02, 0.4))
-def test_tarjan_matches_reachability_oracle_property(seed, size, p):
-    from batchfair.oracle import reachability_scc
-
-    rng = random.Random(seed)
-    nodes, adj = _random_digraph(rng, size, p)
-    edges = {(nodes[u], nodes[v]) for u, v in zip(*np.nonzero(adj))}
-    ours = [sorted(nodes[v] for v in scc)
-            for scc in condensation_order(tarjan_scc(adj), adj)]
-    assert ours == [sorted(scc) for scc in reachability_scc(nodes, edges)]
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    size=st.integers(1, 30),
+    p_missing=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 0.95]),
+    p_forward=st.floats(0.0, 1.0),
+)
+def test_scc_matches_reachability_oracle_property(seed, size, p_missing, p_forward):
+    adj = near_tournament(random.Random(seed), size, p_missing, p_forward)
+    assert scc_members(adj) == reference_members(adj)
 
 
 # -- phase 3 -------------------------------------------------------------------------

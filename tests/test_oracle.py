@@ -20,12 +20,12 @@ from batchfair.oracle import (
     check_loi_monotone,
     check_single_graph,
     dist_histogram,
-    reachability_scc,
     serial_reference,
 )
 from batchfair.params import SimConfig
 from batchfair.trace import RunTrace
 from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest
+from reference import reachability_scc
 
 
 def d(name) -> str:
@@ -266,7 +266,6 @@ def test_gamma_lt_1_cross_graph_corner_documented():
     all-replica scope plus LOI-prefix monotonicity make this impossible."""
     from batchfair.scenarios import sweep_scenario
     from batchfair.dagsim import Simulator
-    from batchfair.oracle import reachability_scc
     from fractions import Fraction
     from math import ceil
 

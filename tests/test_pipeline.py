@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 from batchfair import finalize, graph, params, pipeline
@@ -92,7 +93,10 @@ def test_concurrent_replay_sends_only_phase1_to_the_pool(pool):
     # no digest crosses the pool in either direction
     results = [fut.result() for fut in counting.futures]
     assert _strings(counting.args) == [] and _strings(results) == []
-    assert [len(weights) for weights, _ in results] == [m * m for m, _ in counting.args]
+    # and the pool's counts are the in-process kernel's, dtype included
+    for (weights, _), (m, orders) in zip(results, counting.args):
+        local = graph.weight_counts(m, orders)
+        assert weights.dtype == local.dtype and np.array_equal(weights, local)
 
 
 def count_calls(monkeypatch, module, name) -> list:
@@ -113,14 +117,14 @@ def count_calls(monkeypatch, module, name) -> list:
 
 def test_scc_pass_once_per_subdag_and_finalize_only_on_resolve(monkeypatch):
     res, cfg = simulate(seed=42, skew=0.3)
-    tarjan = count_calls(monkeypatch, graph, "tarjan_scc")
+    scc = count_calls(monkeypatch, graph, "scc_positions")
     finalized = count_calls(monkeypatch, finalize, "finalize_order")
     events = []
     out = FairnessPipeline(cfg.n, cfg.f, cfg.gamma, trace_cb=events.append).replay(res.records)
     parked = {e["r"] for e in events if e["ev"] == "graph_parked"}
     resolved = parked - set(out.parked_left)
     assert resolved, "scenario must resolve parked subdags through votes"
-    assert len(tarjan) == len(res.records) + len(resolved)
+    assert len(scc) == len(res.records) + len(resolved)
     assert len(finalized) == len(resolved)
     assert out.emitted == res.pipeline.emitted
 

@@ -35,7 +35,7 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_profile(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("profile", help="per-phase mean CPU time from a trace")
+    p = sub.add_parser("profile", help="per-phase CPU time from a trace: mean, p50, p95, max")
     p.add_argument("trace", help="trace.jsonl produced by run")
 
 
@@ -94,12 +94,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "profile":
-        means = phase_profile(RunTrace.read_jsonl(args.trace))
-        if not means:
+        stats = phase_profile(RunTrace.read_jsonl(args.trace))
+        if not stats:
             print("trace carries no phase profiles")
             return 0
-        for phase, ns in means.items():
-            print(f"{phase:12s} {ns / 1e6:10.3f} ms")
+        columns = ("mean", "p50", "p95", "max")
+        print(f"{'phase':12s} " + " ".join(f"{c + ' ms':>10s}" for c in columns))
+        for phase, row in stats.items():
+            print(f"{phase:12s} " + " ".join(f"{row[c] / 1e6:10.3f}" for c in columns))
         return 0
 
     return 0

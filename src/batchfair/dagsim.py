@@ -8,9 +8,18 @@ certificates have formed. try_commit elects wave leaders with a seeded coin,
 commits a leader once f+1 next-round vertices reference it, and hands each
 committed subdag to the in-loop fairness pipeline.
 
-Everything is driven by one event heap keyed (time, seq); all randomness
+Events run in (time, post) order: a heap holds the distinct pending times
+and each time keeps one FIFO of (handler, data), so popping the front of the
+earliest time gives the order a heap keyed (time, seq) would. All randomness
 comes from generators seeded from the run seed, so identical configs produce
-bit-identical traces.
+bit-identical traces. Network delays are the draws that
+``random.Random(f"{seed}:net").randint(delay_min, delay_max)`` would make,
+in send order, taken in blocks: CPython's randint keeps the first top-k-bits
+value of one MT19937 word below the span (k = span.bit_length() <= 32), and
+one getrandbits(32 * B) call returns B consecutive words, so a block is
+those words shifted and filtered in numpy. The stream feeds only delays,
+so drawing ahead changes nothing. A message to oneself and lockstep
+delivery draw nothing.
 
 The hot paths do only the work that changes state. A vertex message carries
 its batch's digests, built once at proposal; a receiver walks them in order
@@ -26,10 +35,14 @@ next unchecked wave, and ``attestors`` until the vertex certifies.
 
 from __future__ import annotations
 
-import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from heapq import heappop, heappush
+from itertools import chain, islice, repeat
+from operator import attrgetter
+
+import numpy as np
 
 from .adversaries import ClientSchedule, DelaySpike, FaultSchedule
 from .params import ConfigError, SimConfig
@@ -37,6 +50,11 @@ from .pipeline import FairnessPipeline, PipelineResult
 from .trace import RunTrace
 from .types import Certificate, CommitRecord, Vertex, VertexRecord, tx_digest, vertex_id
 from .worker import WorkerState, decode_batch, encode_batch
+
+DELAY_BLOCK_WORDS = 4096  # MT19937 words per block of network delays
+FOREVER = 1 << 62  # the simulated time a replica that never crashes lives to
+_digest = attrgetter("digest")
+_digest_loi = attrgetter("digest", "loi")
 
 
 @dataclass
@@ -77,10 +95,10 @@ class Simulator:
             WorkerState(i, reverse_order=(i in reversers)) for i in range(config.n)
         ]
         self.net_rng = random.Random(f"{config.seed}:net")
-        # one network delay, before spikes; lockstep delivery draws nothing
-        self.net_delay = (
-            (lambda: 0) if config.delivery_model == "lockstep"
-            else partial(self.net_rng.randint, config.delay_min, config.delay_max)
+        # network delays before spikes, in draw order
+        self.net_delays = (
+            repeat(0) if config.delivery_model == "lockstep"
+            else chain.from_iterable(self._delay_blocks())
         )
         self.trace = RunTrace(
             meta={
@@ -113,18 +131,19 @@ class Simulator:
         self.held: list[dict[int, set[int]]] = [{} for _ in range(config.n)]
         self.attestors: dict[str, set[int]] = {}  # uncertified vertices only
 
-        # event machinery
-        self.heap: list[tuple[int, int, str, tuple]] = []
-        self._seq = 0
+        # event machinery: pending times, and per time its events in post order
+        self.times: list[int] = []
+        self.queue: dict[int, deque] = {}
         self.now = 0
         self.round = 0  # next round to propose
         # round -> replica -> time; every replica may propose genesis at 0
         self.ready_at: dict[int, dict[int, int]] = {0: {i: 0 for i in range(config.n)}}
         # set when an event records a readiness or forms a certificate
         self.progress = False
-        self.crash_time: dict[int, int] = {
-            i: -1 for i, r in self.crash_round.items() if r <= 0
-        }
+        # per replica, the last time it is alive; set when its crash round comes
+        self.alive_until = [
+            -1 if self.crash_round.get(i, 1) <= 0 else FOREVER for i in range(config.n)
+        ]
 
         # commit state
         self.committed_vids: set[str] = set()
@@ -139,30 +158,41 @@ class Simulator:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _alive(self, replica: int, t: int) -> bool:
-        ct = self.crash_time.get(replica)
-        return ct is None or t <= ct
-
     def _live_set(self, round_: int) -> list[int]:
         return [
             i for i in range(self.cfg.n)
             if self.crash_round.get(i, 1 << 30) > round_
         ]
 
-    def _delay(self, sender: int, receiver: int, kind: str, round_: int) -> int:
-        if sender == receiver:
-            return 0
-        d = self.net_delay()
-        for spike in self.spikes.get(round_, ()):
-            if spike.scope == "vertex" and kind == "vertex" and spike.replica == sender:
-                d += spike.extra
-            elif spike.scope == "inbound" and spike.replica == receiver:
-                d += spike.extra
-        return d
+    def _delay_blocks(self):
+        """Successive blocks of the net_rng randint stream (see module docstring)."""
+        cfg = self.cfg
+        span = cfg.delay_max - cfg.delay_min + 1
+        shift = 32 - span.bit_length()
+        while True:
+            bits = self.net_rng.getrandbits(32 * DELAY_BLOCK_WORDS)
+            r = np.frombuffer(bits.to_bytes(4 * DELAY_BLOCK_WORDS, "little"), "<u4") >> shift
+            yield map(cfg.delay_min.__add__, r[r < span].tolist())
 
-    def _post(self, t: int, kind: str, data: tuple) -> None:
-        heapq.heappush(self.heap, (t, self._seq, kind, data))
-        self._seq += 1
+    def _spike_extra(self, round_: int, sender: int, kind: str) -> list[int]:
+        """Per receiver, the spike delay a round_ message of kind from sender gets."""
+        extra = [0] * self.cfg.n
+        for spike in self.spikes[round_]:
+            if spike.scope == "vertex" and kind == "vertex" and spike.replica == sender:
+                extra = [x + spike.extra for x in extra]
+            elif spike.scope == "inbound":
+                extra = [x + spike.extra if j == spike.replica else x for j, x in enumerate(extra)]
+        return extra
+
+    def _post(self, times, handler, datas) -> None:
+        """Queue handler(time, data) for each pair of times and datas, in order."""
+        queue = self.queue
+        for t, data in zip(times, datas):
+            events = queue.get(t)
+            if events is None:
+                events = queue[t] = deque()
+                heappush(self.times, t)
+            events.append((handler, data))
 
     def _on_vote_cast(self, replica: int, vote) -> None:
         self.trace.append(
@@ -180,28 +210,27 @@ class Simulator:
         # each local worker resolves against its own LOI table
         self.now = self.pipeline.now
         for i in range(self.cfg.n):
-            if self._alive(i, self.now):
+            if self.now <= self.alive_until[i]:
                 self.workers[i].on_fair_propose(r, missing)
-
-    def _observe_client(self, replica: int, body: str, t: int) -> None:
-        digest = self.digest_of.get(body)
-        if digest is None:
-            digest = self.digest_of[body] = tx_digest(body)
-        self.injection_time.setdefault(digest, t)
-        self.now = t
-        loi, fresh = self.workers[replica].observe_client(body, digest)
-        if fresh:
-            self.trace.append(
-                {"ev": "tx_received", "t": t, "replica": replica, "tx": digest,
-                 "loi": loi, "src": "client"}
-            )
 
     # -- proposals ----------------------------------------------------------------
 
     def _propose(self, replica: int, round_: int, t: int) -> None:
         cfg = self.cfg
-        for body in self.client_plan.get((replica, round_), []):
-            self._observe_client(replica, body, t)
+        bodies = self.client_plan.get((replica, round_))
+        if bodies:
+            self.now = t
+            worker, digest_of = self.workers[replica], self.digest_of
+            injection_time, append = self.injection_time, self.trace.append
+            for body in bodies:
+                digest = digest_of.get(body)
+                if digest is None:
+                    digest = digest_of[body] = tx_digest(body)
+                injection_time.setdefault(digest, t)
+                loi, fresh = worker.observe_client(body, digest)
+                if fresh:
+                    append({"ev": "tx_received", "t": t, "replica": replica, "tx": digest,
+                            "loi": loi, "src": "client"})
         if round_ == 0:
             batch = None
             parents: frozenset[int] = frozenset()
@@ -215,7 +244,7 @@ class Simulator:
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
             parents = frozenset(held)
-            digests = tuple(e.digest for e in batch.entries)
+            digests = tuple(map(_digest, batch.entries))
         vid = self.vids[round_][replica]
         vertex = Vertex(replica, round_, vid, parents, batch)
         self.by_round.setdefault(round_, {})[replica] = vertex
@@ -235,25 +264,29 @@ class Simulator:
                 ],
             }
         )
-        # author attests its own vertex immediately
+        # author attests its own vertex immediately; a quorum of one certifies it
         self.attestors[vid] = {replica}
-        self._maybe_certify(vertex, t)
-        for j in range(cfg.n):
-            if j != replica:
-                self._post(t + self._delay(replica, j, "vertex", round_), "vertex", (vertex, j, digests))
+        if cfg.quorum == 1:
+            self._certify(vertex, t)
+        receivers = [j for j in range(cfg.n) if j != replica]
+        delays = islice(self.net_delays, cfg.n - 1)
+        if round_ in self.spikes:
+            extra = self._spike_extra(round_, replica, "vertex")
+            delays = [d + extra[j] for d, j in zip(delays, receivers)]
+        self._post(
+            [t + d for d in delays], self._on_vertex, [(vertex, j, digests) for j in receivers]
+        )
         # a quorum may already be on hand (e.g. this proposal was delayed past
         # the certificates of its own round), so re-check readiness now
         self._note_ready(replica, round_ + 1, t)
         # crash boundary: a replica crashing at round R dies right after its
         # round R-1 proposal
         if self.crash_round.get(replica) == round_ + 1:
-            self.crash_time[replica] = t
+            self.alive_until[replica] = t
 
-    def _maybe_certify(self, vertex: Vertex, t: int) -> None:
-        attestors = self.attestors[vertex.vid]
-        if len(attestors) < self.cfg.quorum:
-            return
-        del self.attestors[vertex.vid]  # later attests change nothing
+    def _certify(self, vertex: Vertex, t: int) -> None:
+        """Form the certificate of a vertex that has a quorum of attestors."""
+        attestors = self.attestors.pop(vertex.vid)  # later attests change nothing
         cert = Certificate(vertex.vid, vertex.round, vertex.author, frozenset(attestors))
         self.certs.setdefault(vertex.round, {})[vertex.author] = cert
         self.progress = True
@@ -267,38 +300,52 @@ class Simulator:
                 "attestors": sorted(cert.attestors),
             }
         )
-        for j in range(self.cfg.n):
-            d = self._delay(vertex.author, j, "cert", vertex.round)
-            self._post(t + d, "cert", (cert, j))
+        n, author = self.cfg.n, vertex.author
+        delays = list(islice(self.net_delays, n - 1))
+        if vertex.round in self.spikes:
+            extra = self._spike_extra(vertex.round, author, "cert")
+            delays = [d + extra[j] for d, j in zip(delays, (j for j in range(n) if j != author))]
+        delays.insert(author, 0)  # the author holds its own certificate at once
+        self._post([t + d for d in delays], self._on_cert, [(cert, j) for j in range(n)])
 
-    def _handle(self, t: int, kind: str, data: tuple) -> None:
-        if kind == "vertex":
-            vertex, receiver, digests = data
-            if not self._alive(receiver, t):
-                return
-            worker = self.workers[receiver]
-            lois = worker.lois
-            for digest in digests:
-                if digest not in lois:  # read per digest: one listed twice gets one LOI
-                    loi, _ = worker.observe_remote(digest)
-                    self.trace.append(
-                        {"ev": "tx_received", "t": t, "replica": receiver,
-                         "tx": digest, "loi": loi, "src": "batch"}
-                    )
-            back = self._delay(receiver, vertex.author, "attest", vertex.round)
-            self._post(t + back, "attest", (vertex, receiver))
-        elif kind == "attest":
-            vertex, attestor = data
-            attestors = self.attestors.get(vertex.vid)
-            if attestors is None or not self._alive(vertex.author, t):
-                return
-            attestors.add(attestor)
-            self._maybe_certify(vertex, t)
-        elif kind == "cert":
-            cert, receiver = data
-            if not self._alive(receiver, t) or cert.round < self.round - 1:
-                return
-            self.held[receiver].setdefault(cert.round, set()).add(cert.author)
+    def _on_vertex(self, t: int, data: tuple) -> None:
+        vertex, receiver, digests = data
+        if t > self.alive_until[receiver]:
+            return
+        worker = self.workers[receiver]
+        lois = worker.lois
+        for digest in digests:
+            if digest not in lois:  # read per digest: one listed twice gets one LOI
+                loi, _ = worker.observe_remote(digest)
+                self.trace.append(
+                    {"ev": "tx_received", "t": t, "replica": receiver,
+                     "tx": digest, "loi": loi, "src": "batch"}
+                )
+        at = t + next(self.net_delays)
+        if vertex.round in self.spikes:
+            at += self._spike_extra(vertex.round, receiver, "attest")[vertex.author]
+        events = self.queue.get(at)  # _post, inlined: this runs once per vertex message
+        if events is None:
+            events = self.queue[at] = deque()
+            heappush(self.times, at)
+        events.append((self._on_attest, (vertex, receiver)))
+
+    def _on_attest(self, t: int, data: tuple) -> None:
+        vertex, attestor = data
+        attestors = self.attestors.get(vertex.vid)
+        if attestors is None or t > self.alive_until[vertex.author]:
+            return
+        attestors.add(attestor)
+        if len(attestors) >= self.cfg.quorum:
+            self._certify(vertex, t)
+
+    def _on_cert(self, t: int, data: tuple) -> None:
+        cert, receiver = data
+        if t > self.alive_until[receiver] or cert.round < self.round - 1:
+            return
+        held = self.held[receiver].setdefault(cert.round, set())
+        held.add(cert.author)
+        if len(held) >= self.cfg.readiness:
             self._note_ready(receiver, cert.round + 1, t)
 
     def _note_ready(self, replica: int, round_: int, t: int) -> None:
@@ -314,19 +361,25 @@ class Simulator:
         self.progress = True
 
     def _pump(self, done, stalled) -> None:
-        """Handle queued events in (time, seq) order until done() holds; if the
-        queue runs dry first, fail with the text stalled() returns.
+        """Handle queued events in (time, post) order until done() holds; if
+        the queue runs dry first, fail with the text stalled() returns.
 
         done() may read only readiness and certificates, so it is re-checked
         only after an event that recorded a readiness or formed a certificate."""
+        times, queue = self.times, self.queue
         while not done():
             self.progress = False
             while not self.progress:
-                if not self.heap:
+                if not times:
                     raise ConfigError(stalled())
-                t, _, kind, data = heapq.heappop(self.heap)
+                t = times[0]
+                events = queue[t]
+                handler, data = events.popleft()
+                if not events:
+                    heappop(times)
+                    del queue[t]
                 self.now = t
-                self._handle(t, kind, data)
+                handler(t, data)
 
     # -- public operations ----------------------------------------------------------
 
@@ -428,7 +481,7 @@ class Simulator:
             if v.batch is None:
                 vrs.append(VertexRecord(v.author, v.round, v.vid, ()))
             else:
-                entries = tuple((e.digest, e.loi) for e in v.batch.entries)
+                entries = tuple(map(_digest_loi, v.batch.entries))
                 vrs.append(VertexRecord(v.author, v.round, v.vid, entries, v.batch.votes))
         record = CommitRecord(r, leader.vid, tuple(vrs))
         self.records.append(record)

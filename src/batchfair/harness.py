@@ -96,9 +96,15 @@ def _phase_means(profiles: list[dict]) -> dict:
 
 
 def phase_profile(trace: RunTrace) -> dict:
-    """Mean per-phase CPU time (ns) from a trace's graph_profile events."""
+    """Per-phase CPU time (ns) over a trace's graph_profile events: phase ->
+    {"mean", "p50", "p95", "max"}, the quantiles read off the sorted times."""
     rows = [e for e in trace.events if e["ev"] == "graph_profile"]
-    return _phase_means(rows)
+    out = {}
+    for phase, mean in _phase_means(rows).items():
+        ns = sorted(e[phase] for e in rows)
+        out[phase] = {"mean": mean, "p50": ns[int(0.5 * (len(ns) - 1))],
+                      "p95": ns[int(0.95 * (len(ns) - 1))], "max": ns[-1]}
+    return out
 
 
 def _verdicts(

@@ -127,6 +127,12 @@ class SimConfig:
             raise ConfigError(
                 f"delay_max must be >= delay_min ({self.delay_min}), got {self.delay_max}"
             )
+        if self.delay_max - self.delay_min + 1 >= 2**32:
+            # one 32-bit generator word per draw (see dagsim's delay blocks)
+            raise ConfigError(
+                f"delay span delay_max - delay_min + 1 must be below 2**32, got "
+                f"{self.delay_max - self.delay_min + 1}"
+            )
         if self.task_slots < 1:
             raise ConfigError(f"task_slots must be >= 1, got {self.task_slots}")
 

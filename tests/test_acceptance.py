@@ -5,6 +5,7 @@ Criterion 10 (pipeline speedup) requires >= 2 physical cores to stand a
 chance; on a single-core host it fails honestly rather than being weakened.
 """
 
+import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +29,7 @@ from batchfair.pipeline import FairnessPipeline
 from batchfair.scenarios import build_scenario, sweep_scenario
 from batchfair.trace import RunTrace
 from batchfair.types import FinalOrder, orders_digest
+from test_golden import trace_digest
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -74,11 +76,25 @@ def sweep_results(pool):
                 ),
                 "single": check_single_graph(res.trace)[0],
                 "loi": check_loi_monotone(res.trace)[0],
+                "orders": orders_digest(res.pipeline.emitted),
+                "trace": trace_digest(res.trace),
             }
         )
         runs += 1
     elapsed = time.perf_counter() - t0
     return results, elapsed
+
+
+# sha256 over each sweep run's seed, in-loop emitted digest and trace digest
+SWEEP_PIN = "c9ea64f52d684b76877ee6f1bec84dc16e1538741408f03f4c5e94ad1d7dac92"
+
+
+def test_sweep_runs_pinned(sweep_results):
+    results, _ = sweep_results
+    h = hashlib.sha256()
+    for r in results:
+        h.update(f"{r['seed']} {r['orders']} {r['trace']}\n".encode())
+    assert h.hexdigest() == SWEEP_PIN
 
 
 def test_criterion_1_serial_equivalence(sweep_results):

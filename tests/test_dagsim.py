@@ -1,7 +1,11 @@
 import hashlib
+import heapq
 import json
+import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchfair.adversaries import (
     REVERSE_ORDER,
@@ -14,7 +18,7 @@ from batchfair.adversaries import (
     random_crash_schedule,
     uniform_load,
 )
-from batchfair.dagsim import Simulator
+from batchfair.dagsim import DELAY_BLOCK_WORDS, Simulator
 from batchfair.params import ConfigError, SimConfig
 from batchfair.scenarios import build_scenario
 from batchfair.types import (
@@ -176,6 +180,10 @@ def test_per_round_bookkeeping_stays_bounded():
         assert all(reference <= rd < sim.round for rd in sim.vertex_time)
         assert len(sim.vertex_time) <= sim.cfg.wave_len
         assert len(sim.attestors) <= len(sim.crash_round)
+        # one heap entry per pending time, no empty time, none before now
+        assert sorted(sim.times) == sorted(sim.queue)
+        assert all(sim.queue.values())
+        assert all(t >= sim.now for t in sim.times)
         sim.try_commit()
     assert sim.records and sim.round == sim.cfg.max_rounds + 1
 
@@ -208,7 +216,8 @@ def test_determinism_bit_identical_traces():
 def test_round_stalls_when_no_replica_becomes_ready():
     sim = Simulator(SimConfig(n=5, f=1, gamma=1, seed=7, max_rounds=6))
     sim.advance_round()
-    sim.heap.clear()  # the round-0 certificates are never delivered
+    sim.times.clear()  # the round-0 certificates are never delivered
+    sim.queue.clear()
     with pytest.raises(ConfigError) as err:
         sim.advance_round()
     assert str(err.value) == "round 1 stalled: replicas [0, 1, 2, 3, 4] never became ready"
@@ -216,13 +225,7 @@ def test_round_stalls_when_no_replica_becomes_ready():
 
 def test_round_stalls_when_certificates_never_form():
     sim = Simulator(SimConfig(n=5, f=1, gamma=1, seed=7, max_rounds=6))
-    handle = sim._handle
-
-    def drop_attestations(t, kind, data):
-        if kind != "attest":
-            handle(t, kind, data)
-
-    sim._handle = drop_attestations
+    sim._on_attest = lambda t, data: None  # every attestation is dropped
     with pytest.raises(ConfigError) as err:
         sim.advance_round()
     assert str(err.value) == (
@@ -245,6 +248,68 @@ def test_delay_spikes_pinned():
     assert orders_digest(res.pipeline.emitted) == (
         "0b8bf5f36e07e3464ddda41401350e320ecc22e80c8fd0316a8a90471d420319"
     )
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 3), (0, 2), (1, 4), (1, 6), (2, 9)])
+def test_block_drawn_delays_match_randint(lo, hi):
+    # spans 1, 3, 4, 6 and 8: k = 1..4 bits, powers of two and not
+    cfg = SimConfig(n=5, f=1, gamma=1, seed=19, delay_min=lo, delay_max=hi)
+    sim = Simulator(cfg)
+    count = 3 * DELAY_BLOCK_WORDS + 17  # past at least three block refills
+    ref = random.Random(f"{cfg.seed}:net")
+    assert list(islice(sim.net_delays, count)) == [ref.randint(lo, hi) for _ in range(count)]
+
+
+def test_lockstep_and_self_sends_draw_nothing():
+    lock = lockstep_sim(max_rounds=4)
+    state = lock.net_rng.getstate()
+    lock.run()
+    assert lock.net_rng.getstate() == state
+    # uniform delivery: by the time round 0's certificates have formed, its
+    # 5 vertices went to 4 others each, all 20 arrived and were attested, and
+    # the 5 certificates went to 4 others each: 60 draws, none for a self-send
+    sim = Simulator(SimConfig(n=5, f=1, gamma=1, seed=7, max_rounds=6))
+    sim.advance_round()
+    ref = random.Random("7:net")
+    for _ in range(60):
+        ref.randint(1, 6)
+    assert list(islice(sim.net_delays, 20)) == [ref.randint(1, 6) for _ in range(20)]
+
+
+def test_delay_span_must_fit_one_word():
+    SimConfig(n=5, f=1, delay_min=5, delay_max=5 + 2**32 - 2)
+    with pytest.raises(ConfigError):
+        SimConfig(n=5, f=1, delay_min=5, delay_max=5 + 2**32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),  # post at now + offset
+    st.none(),  # pop one event
+), max_size=60))
+def test_event_queue_pops_in_time_then_post_order(ops):
+    sim = Simulator(SimConfig(n=5, f=1, gamma=1))
+    popped = []
+
+    def record(t, data):
+        popped.append((t, data))
+        sim.progress = True  # ends the pump after this one event
+
+    ref: list[tuple[int, int]] = []
+    seq = 0
+    for op in ops + [None] * (sum(map(len, filter(None, ops)))):
+        if op is None:
+            if ref:
+                sim._pump(lambda want=len(popped) + 1: len(popped) == want, str)
+                assert popped[-1] == heapq.heappop(ref)
+        else:
+            times = [sim.now + offset for offset in op]
+            sim._post(times, record, range(seq, seq + len(op)))
+            for t in times:
+                heapq.heappush(ref, (t, seq))
+                seq += 1
+        assert sorted(sim.times) == sorted(sim.queue) and all(sim.queue.values())
+    assert not ref and not sim.times
 
 
 def _receipts(sim):

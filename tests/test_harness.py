@@ -192,9 +192,22 @@ def test_sweep_empty_grid_empty_csv(tmp_path):
 
 def test_phase_profile_from_trace(tmp_path):
     run_scenario("condorcet_minimal", serial=True, outdir=tmp_path)
-    means = phase_profile(RunTrace.read_jsonl(tmp_path / "trace.jsonl"))
-    assert set(means) == {"extract_ns", "weights_ns", "build_ns", "scc_ns", "result_ns"}
-    assert all(v >= 0 for v in means.values())
+    stats = phase_profile(RunTrace.read_jsonl(tmp_path / "trace.jsonl"))
+    assert set(stats) == {"extract_ns", "weights_ns", "build_ns", "scc_ns", "result_ns"}
+    for row in stats.values():
+        assert list(row) == ["mean", "p50", "p95", "max"]
+        assert 0 <= row["p50"] <= row["p95"] <= row["max"] and 0 <= row["mean"] <= row["max"]
+
+
+def test_phase_profile_quantiles():
+    # 20 subdags whose weights took 1..20 ns, listed out of order
+    phases = ("extract_ns", "weights_ns", "build_ns", "scc_ns", "result_ns")
+    events = [{"ev": "graph_profile", "r": r, **dict.fromkeys(phases, 0), "weights_ns": ns}
+              for r, ns in enumerate([*range(20, 10, -1), *range(1, 11)], 1)]
+    events.append({"ev": "vertex_created"})
+    stats = phase_profile(RunTrace(meta={}, events=events))
+    assert stats["weights_ns"] == {"mean": 10.5, "p50": 10, "p95": 19, "max": 20}
+    assert stats["scc_ns"] == {"mean": 0, "p50": 0, "p95": 0, "max": 0}
 
 
 def test_phase_profile_empty_trace():
@@ -260,7 +273,11 @@ def test_cli_profile(tmp_path, capsys):
               "--out", str(tmp_path)])
     capsys.readouterr()
     assert cli_main(["profile", str(tmp_path / "trace.jsonl")]) == 0
-    assert "weights_ns" in capsys.readouterr().out
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["phase", "mean", "ms", "p50", "ms", "p95", "ms", "max", "ms"]
+    assert [row.split()[0] for row in rows] == [
+        "extract_ns", "weights_ns", "build_ns", "scc_ns", "result_ns"]
+    assert all(len(row.split()) == 5 for row in rows)
 
 
 def test_cli_run_baseline_scenario_reports_model(capsys):

@@ -16,6 +16,7 @@ from .params import ConfigError
 SILENT_CRASH = "silent_crash"
 REVERSE_ORDER = "reverse_local_order"
 STRATEGIES = (SILENT_CRASH, REVERSE_ORDER)
+SPIKE_SCOPES = ("vertex", "inbound")
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,15 @@ class DelaySpike:
     round: int
     extra: int
     scope: str = "vertex"
+
+    def __post_init__(self) -> None:
+        # the replica's upper bound is n, which Simulator checks
+        if self.scope not in SPIKE_SCOPES:
+            raise ConfigError(f"delay spike scope: unknown scope {self.scope!r}")
+        for name in ("replica", "round", "extra"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"delay spike {name} must be an integer >= 0, got {value!r}")
 
 
 def uniform_load(

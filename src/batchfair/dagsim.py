@@ -6,7 +6,8 @@ and, under the self-referencing rule, its own), creates the round's vertices
 at each replica's individual readiness time, and completes once the round's
 certificates have formed. try_commit elects wave leaders with a seeded coin,
 commits a leader once f+1 next-round vertices reference it, and hands each
-committed subdag to the in-loop fairness pipeline.
+committed subdag to the in-loop fairness pipeline, whose landing it traces,
+stamps with the commit time and turns into FairProposes to its workers.
 
 Events run in (time, post) order: a heap holds the distinct pending times
 and each time keeps one FIFO of (handler, data), so popping the front of the
@@ -82,6 +83,8 @@ class Simulator:
         self.clients = clients or ClientSchedule()
         self.spikes: dict[int, list[DelaySpike]] = {}  # round -> spikes naming it
         for spike in spikes or []:
+            if not 0 <= spike.replica < config.n:
+                raise ConfigError(f"delay spike replica {spike.replica} outside [0, {config.n})")
             self.spikes.setdefault(spike.round, []).append(spike)
         self.faults.check_budget(config.f)
         self.crash_round = self.faults.crash_rounds()
@@ -110,13 +113,7 @@ class Simulator:
                 **(meta or {}),
             }
         )
-        self.pipeline = FairnessPipeline(
-            config.n,
-            config.f,
-            config.gamma,
-            trace_cb=self.trace.append,
-            fairpropose_cb=self._broadcast_fair_propose,
-        )
+        self.pipeline = FairnessPipeline(config.n, config.f, config.gamma)
         for w in self.workers:
             w.vote_cb = self._on_vote_cast
 
@@ -204,14 +201,6 @@ class Simulator:
                 "edges": [list(e) for e in vote.edges],
             }
         )
-
-    def _broadcast_fair_propose(self, r: int, missing: set) -> None:
-        # the fairness processor of every live replica parks the same graph;
-        # each local worker resolves against its own LOI table
-        self.now = self.pipeline.now
-        for i in range(self.cfg.n):
-            if self.now <= self.alive_until[i]:
-                self.workers[i].on_fair_propose(r, missing)
 
     # -- proposals ----------------------------------------------------------------
 
@@ -487,9 +476,18 @@ class Simulator:
         self.records.append(record)
         # the fairness layer costs no simulated time: whatever the subdag
         # lets emit is stamped with its commit time
-        self.pipeline.on_commit(record, now=commit_t)
-        for order in self.pipeline.emitted[len(self.emit_time):]:
+        landing = self.pipeline.on_commit(record, now=commit_t)
+        self.trace.events.extend(landing.events)
+        for order in landing.emitted:
             self.emit_time[order.r] = commit_t
+        if landing.fair_propose is not None:
+            # the fairness processor of every live replica parks the same
+            # graph; each local worker resolves against its own LOI table,
+            # and the votes it can cast at once carry the commit time
+            self.now = commit_t
+            for i, worker in enumerate(self.workers):
+                if commit_t <= self.alive_until[i]:
+                    worker.on_fair_propose(*landing.fair_propose)
         return record
 
     # -- full run ---------------------------------------------------------------------

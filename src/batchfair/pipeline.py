@@ -17,6 +17,15 @@ landing step, ``_land``, and both drivers share it:
   pool for a window of in-flight subdags, and the coordinator lands their
   results in commit order.
 
+The pipeline calls nothing back. ``on_commit`` returns the subdag's
+``Landing``: the trace events it produced, in order, the orders it let out,
+and the FairPropose it owes, ``(r, missing)`` of the graph it parked. The
+simulator writes the events, stamps the orders' emit times and hands the
+FairPropose to its workers; the replay drivers drop it. In a landing that
+parks, ``graph_parked`` is the last event: a park makes nothing ready, so
+the Emit drain after it finds nothing, and the votes the FairPropose
+releases at once follow every event of the landing.
+
 Both modes land the same records in the same order, so they produce
 bit-identical emitted orders; only wall-clock differs. The parallel work runs
 on a process pool: the kernel makes one small numpy call per author, and
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter_ns
 
 from .finalize import ParkedStore, apply_fair_update, emit, mark_ready, park, route_votes
@@ -55,6 +64,15 @@ class PipelineResult:
     parked_left: list[int]
 
 
+@dataclass
+class Landing:
+    """What landing one subdag produced, for the driver to act on."""
+
+    events: list[dict] = field(default_factory=list)  # trace events, in order
+    emitted: list[FinalOrder] = field(default_factory=list)
+    fair_propose: tuple[int, set] | None = None  # (r, missing) of the parked graph
+
+
 def _weights_task(m: int, orders: dict[int, list[int]]) -> tuple:
     """Phase-1 counts and their CPU time; module level so it pickles for the pool."""
     t0 = perf_counter_ns()
@@ -65,33 +83,21 @@ def _weights_task(m: int, orders: dict[int, list[int]]) -> tuple:
 class FairnessPipeline:
     """Coordinator for one replica-equivalent fairness processor."""
 
-    def __init__(self, n: int, f: int, gamma, trace_cb=None, fairpropose_cb=None):
+    def __init__(self, n: int, f: int, gamma):
         self.state = CumulativeState(n, f, gamma)
         self.store = ParkedStore(n - f, self.state.tau_i)
         self.profiles: list[dict] = []
-        self.trace_cb = trace_cb
-        self.fairpropose_cb = fairpropose_cb
         self.emitted: list[FinalOrder] = []
-        self.now = 0
 
     # -- shared bits -----------------------------------------------------------
 
-    def _trace(self, ev: dict) -> None:
-        if self.trace_cb is not None:
-            self.trace_cb(ev)
-
-    def _drain_emit(self) -> None:
+    def _drain_emit(self, landing: Landing, now: int) -> None:
         for order in emit(self.store):
             self.emitted.append(order)
-            self._trace(
-                {
-                    "ev": "order_emitted",
-                    "t": self.now,
-                    "replica": None,
-                    "r": order.r,
-                    "digests": list(order.digests),
-                    "batches": [list(b) for b in order.batches],
-                }
+            landing.emitted.append(order)
+            landing.events.append(
+                {"ev": "order_emitted", "t": now, "replica": None, "r": order.r,
+                 "digests": list(order.digests), "batches": [list(b) for b in order.batches]}
             )
 
     def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
@@ -100,13 +106,16 @@ class FairnessPipeline:
         return snap, perf_counter_ns() - t0
 
     def _land(
-        self, record: CommitRecord, snap: Snapshot, extract_ns: int, weights_ns: int
-    ) -> None:
+        self, record: CommitRecord, snap: Snapshot, extract_ns: int, weights_ns: int,
+        now: int = 0,
+    ) -> Landing:
         """Land one subdag, in commit order: tally its votes and resolve every
-        target they complete, then phases 2-4, FairPropose and Emit."""
+        target they complete, then phases 2-4 and Emit; ``now`` stamps its
+        events."""
+        landing = Landing()
         for r in route_votes(self.store, record):
             apply_fair_update(self.store, r)
-        self._drain_emit()
+        self._drain_emit(landing, now)
         r = snap.r
         t0 = perf_counter_ns()
         graph = phase2_build_graph(snap, self.state.proposed, self.state.tau_i)
@@ -116,18 +125,10 @@ class FairnessPipeline:
         apply_result(self.state, r, k_digests)
         t3 = perf_counter_ns()
         parked = None if isinstance(outcome, FinalOrder) else outcome
-        self._trace(
-            {
-                "ev": "graph_built",
-                "t": self.now,
-                "replica": None,
-                "r": r,
-                "v": len(snap.admitted),
-                "m": 0 if parked is None else len(parked.missing),
-                "anchor": anchor,
-                "k": len(k_digests),
-                "k_digests": list(k_digests),
-            }
+        landing.events.append(
+            {"ev": "graph_built", "t": now, "replica": None, "r": r, "v": len(snap.admitted),
+             "m": 0 if parked is None else len(parked.missing), "anchor": anchor,
+             "k": len(k_digests), "k_digests": list(k_digests)}
         )
         profile = {
             "r": r,
@@ -138,33 +139,28 @@ class FairnessPipeline:
             "result_ns": t3 - t2,
         }
         self.profiles.append(profile)
-        self._trace({"ev": "graph_profile", "t": self.now, "replica": None, **profile})
+        landing.events.append({"ev": "graph_profile", "t": now, "replica": None, **profile})
         if parked is None:
             mark_ready(self.store, outcome)
         else:
-            self._trace(
-                {
-                    "ev": "graph_parked",
-                    "t": self.now,
-                    "replica": None,
-                    "r": r,
-                    "pairs": [list(p) for p in parked.missing],
-                }
+            landing.events.append(
+                {"ev": "graph_parked", "t": now, "replica": None, "r": r,
+                 "pairs": [list(p) for p in parked.missing]}
             )
-            if self.fairpropose_cb is not None:
-                self.fairpropose_cb(r, set(parked.missing))
+            landing.fair_propose = (r, set(parked.missing))
             park(self.store, parked)
-        self._drain_emit()
+        self._drain_emit(landing, now)
+        return landing
 
     # -- event/serial mode -------------------------------------------------------
 
-    def on_commit(self, record: CommitRecord, now: int = 0) -> None:
-        """Process one committed subdag to completion (serial task execution)."""
-        self.now = now
+    def on_commit(self, record: CommitRecord, now: int = 0) -> Landing:
+        """Process one committed subdag to completion (serial task execution);
+        ``now`` is the commit time its events carry."""
         snap, extract_ns = self._extract(record)
         t0 = perf_counter_ns()
         phase1_weights(snap)
-        self._land(record, snap, extract_ns, perf_counter_ns() - t0)
+        return self._land(record, snap, extract_ns, perf_counter_ns() - t0, now)
 
     def finish(self) -> PipelineResult:
         return PipelineResult(self.emitted, self.profiles, sorted(self.store.parked))

@@ -61,11 +61,12 @@ class WorkerState:
         # set, and each set it empties releases its vote, in subdag order.
         self.lois[entry.digest] = entry.loi
         self.entry_queue.append(entry)
-        for r in sorted(self.waiting):
-            unknown = self.waiting[r][0]
-            unknown.discard(entry.digest)
-            if not unknown:
-                self._release(r)
+        if self.waiting:  # empty unless a FairPropose is open
+            for r in sorted(self.waiting):
+                unknown = self.waiting[r][0]
+                unknown.discard(entry.digest)
+                if not unknown:
+                    self._release(r)
         return entry.loi, True
 
     # -- Algorithm 1: FairUpdate voting -----------------------------------

@@ -250,6 +250,14 @@ def test_delay_spikes_pinned():
     )
 
 
+def test_delay_spike_replica_outside_the_replicas_is_config_error():
+    cfg = SimConfig(n=5, f=1, gamma=1, seed=3)
+    for replica in (5, 99):
+        with pytest.raises(ConfigError, match=rf"delay spike replica {replica} outside \[0, 5\)"):
+            Simulator(cfg, spikes=[DelaySpike(replica, 4, 30, "inbound")])
+    Simulator(cfg, spikes=[DelaySpike(4, 4, 30, "inbound"), DelaySpike(0, 0, 0)])
+
+
 @pytest.mark.parametrize("lo,hi", [(3, 3), (0, 2), (1, 4), (1, 6), (2, 9)])
 def test_block_drawn_delays_match_randint(lo, hi):
     # spans 1, 3, 4, 6 and 8: k = 1..4 bits, powers of two and not

@@ -124,6 +124,21 @@ def test_fault_without_strategy_is_config_error(tmp_path):
         load_doc(tmp_path, faults=faults)
 
 
+@pytest.mark.parametrize("spike,field", [
+    ({"replica": 99, "round": 4, "extra": 30, "scope": "outbound"}, "scope"),
+    ({"replica": 1, "round": 4, "extra": -50, "scope": "inbound"}, "extra"),
+    ({"replica": 1, "round": -1, "extra": 30}, "round"),
+    ({"replica": 5, "round": 4, "extra": 30}, "replica"),
+    ({"replica": -1, "round": 4, "extra": 30}, "replica"),
+    ({"replica": 1, "round": 4, "extra": "30"}, "extra"),
+])
+def test_malformed_delay_spike_is_config_error(tmp_path, spike, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**BASE_DOC, "spikes": [spike]}))
+    with pytest.raises(ConfigError, match=f"delay spike {field}"):
+        run_scenario(str(path), serial=True, outdir=tmp_path / "out")
+
+
 def test_unknown_fault_strategy_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="unknown fault strategy 'lagging'"):
         load_doc(tmp_path, faults=[{"replica": 1, "strategy": "lagging", "round": 3}])

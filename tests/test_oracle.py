@@ -1,12 +1,15 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import batchfair
 from batchfair.adversaries import (
     REVERSE_ORDER,
     FaultDirective,
@@ -517,3 +520,34 @@ def test_execute_scenario_never_builds_pair_evidence(monkeypatch):
     harness.execute_scenario(build_scenario("condorcet_minimal"), serial=True)
     assert len(outcomes) == 1
     assert "evidence" not in vars(outcomes[0]) and "vote_tallies" not in vars(outcomes[0])
+
+
+def package_imports(module: str) -> set[str]:
+    """The batchfair modules ``module`` imports, directly or through others,
+    read from the source. sys.modules would not show them: the package
+    __init__ imports the pipeline into every process that imports the oracle."""
+    src = Path(batchfair.__file__).parent
+    found: set[str] = set()
+    todo = [module]
+    while todo:
+        for node in ast.walk(ast.parse((src / f"{todo.pop()}.py").read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif node.level == 0 and (node.module or "").startswith("batchfair."):
+                names = [node.module.split(".")[1]]
+            else:
+                continue
+            for name in set(names) - found:
+                found.add(name)
+                todo.append(name)
+    return found
+
+
+def test_oracle_shares_only_types_with_the_pipeline():
+    oracle, pipeline = package_imports("oracle"), package_imports("pipeline")
+    assert oracle <= {"trace", "types"}, oracle
+    assert pipeline <= {"finalize", "graph", "params", "types"}, pipeline
+    assert oracle & pipeline <= {"types"}
+    assert "types" in oracle & pipeline  # the walk reads both import graphs

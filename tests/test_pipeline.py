@@ -119,14 +119,54 @@ def test_scc_pass_once_per_subdag_and_finalize_only_on_resolve(monkeypatch):
     res, cfg = simulate(seed=42, skew=0.3)
     scc = count_calls(monkeypatch, graph, "scc_positions")
     finalized = count_calls(monkeypatch, finalize, "finalize_order")
-    events = []
-    out = FairnessPipeline(cfg.n, cfg.f, cfg.gamma, trace_cb=events.append).replay(res.records)
-    parked = {e["r"] for e in events if e["ev"] == "graph_parked"}
+    pipe = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
+    landings = [pipe.on_commit(rec) for rec in res.records]
+    out = pipe.finish()
+    parked = {e["r"] for lg in landings for e in lg.events if e["ev"] == "graph_parked"}
     resolved = parked - set(out.parked_left)
     assert resolved, "scenario must resolve parked subdags through votes"
     assert len(scc) == len(res.records) + len(resolved)
     assert len(finalized) == len(resolved)
     assert out.emitted == res.pipeline.emitted
+
+
+PIPELINE_EVENTS = ("order_emitted", "graph_built", "graph_profile", "graph_parked")
+
+
+def _without_wall_clock(events: list[dict]) -> list[dict]:
+    # graph_profile carries nanoseconds: keep only its place and subdag
+    return [{"ev": e["ev"], "r": e["r"]} if e["ev"] == "graph_profile" else e for e in events]
+
+
+def test_landings_carry_the_in_loop_pipeline_events():
+    res, cfg = simulate(seed=42, skew=0.3)
+    events = res.trace.events
+    committed = [i for i, e in enumerate(events) if e["ev"] == "subdag_committed"]
+    pipe = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
+    emitted, emit_time, proposed = [], {}, 0
+    for rec, i in zip(res.records, committed, strict=True):
+        landing = pipe.on_commit(rec, now=events[i]["t"])
+        # in the trace, a landing's events follow its subdag_committed event
+        end = i + 1
+        while end < len(events) and events[end]["ev"] in PIPELINE_EVENTS:
+            end += 1
+        assert _without_wall_clock(landing.events) == _without_wall_clock(events[i + 1:end])
+        assert [e["r"] for e in landing.events if e["ev"] == "order_emitted"] == [
+            o.r for o in landing.emitted
+        ]
+        parked = [e for e in landing.events if e["ev"] == "graph_parked"]
+        if landing.fair_propose is None:
+            assert parked == []
+        else:
+            # parking ends the landing, so the votes it releases come after
+            assert landing.events[-1] is parked[0]
+            r, missing = landing.fair_propose
+            assert r == rec.r and missing == {tuple(p) for p in parked[0]["pairs"]}
+            proposed += 1
+        emitted += landing.emitted
+        emit_time.update((o.r, events[i]["t"]) for o in landing.emitted)
+    assert proposed, "scenario must park a graph"
+    assert emitted == res.pipeline.emitted and emit_time == res.emit_time
 
 
 def test_support_classified_once_per_subdag(monkeypatch):

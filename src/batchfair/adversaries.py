@@ -25,15 +25,21 @@ class FaultDirective:
     strategy: str
     round: int  # activation round
 
+    def __post_init__(self) -> None:
+        # the replica's upper bound is n, which Simulator checks
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown fault strategy {self.strategy!r}")
+        for name in ("replica", "round"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"fault directive {name} must be an integer >= 0, got {value!r}")
+
 
 @dataclass
 class FaultSchedule:
     directives: list[FaultDirective] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for d in self.directives:
-            if d.strategy not in STRATEGIES:
-                raise ConfigError(f"unknown fault strategy {d.strategy!r}")
         replicas = [d.replica for d in self.directives]
         if len(replicas) != len(set(replicas)):
             raise ConfigError("at most one fault directive per replica")

@@ -13,12 +13,12 @@ freezing weights below threshold; the patch resolves such pairs explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import ceil
 
 import numpy as np
 
-from .graph import linearize, scc_positions
+from .graph import count_threshold, linearize, scc_positions
+from .params import edge_threshold, solid_threshold
 
 
 def _pair(u: str, v: str) -> tuple[str, str]:
@@ -189,10 +189,9 @@ class DodModel:
     def __init__(self, n: int, f: int, gamma, patched: bool):
         self.n = n
         self.f = f
-        self.gamma = Fraction(gamma) if not isinstance(gamma, Fraction) else gamma
         self.patched = patched
-        self.edge_threshold = int(ceil(Fraction(n) * (1 - self.gamma) + f + 1))
-        self.solid_threshold = n - 2 * f
+        self.edge_threshold = count_threshold(edge_threshold(n, f, gamma))  # parses gamma exactly
+        self.solid_threshold = solid_threshold(n, f)
 
     def run(self, rounds: dict[int, dict[int, list[str]]]) -> DodReport:
         """rounds: round id -> replica -> local order (crashed replicas absent).

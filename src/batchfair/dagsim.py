@@ -22,16 +22,22 @@ those words shifted and filtered in numpy. The stream feeds only delays,
 so drawing ahead changes nothing. A message to oneself and lockstep
 delivery draw nothing.
 
-The hot paths do only the work that changes state. A vertex message carries
-its batch's digests, built once at proposal; a receiver walks them in order
-and observes only those missing from its LOI table, re-checking each so that
-a digest listed twice still gets one LOI. Each client body is hashed on its
-first delivery. The pumps re-check readiness and certificates only after an
-event that recorded a readiness or formed a certificate, since nothing else
-moves them. Per-round bookkeeping keeps only the rounds still read:
-``ready_at`` from the current round on, ``vids`` and ``held`` for the
-current and previous round, ``vertex_time`` from the reference round of the
-next unchecked wave, and ``attestors`` until the vertex certifies.
+Each vertex is built once, at proposal: its commit-stream record (the
+batch's (digest, LOI) entries and votes), its parents and its proposal time.
+The sealed batch is dropped there, and a commit hands the fairness layer the
+very records ``by_round`` holds. A certificate is its author's entry in
+``certified[round]``; its message carries (round, author, receiver).
+
+The hot paths do only the work that changes state. A receiver of a vertex
+walks its record's entries in order and observes only the digests missing
+from its LOI table, re-checking each so that a digest listed twice still gets
+one LOI. Each client body is hashed on its first delivery. The pumps re-check
+readiness and certificates only after an event that recorded a readiness or
+formed a certificate, since nothing else moves them. Per-round bookkeeping
+keeps only the rounds still read: ``ready_at`` from the current round on,
+``held`` for the current and previous round, and ``attestors`` until the
+vertex certifies. ``by_round``, ``certified`` and ``committed_vids`` grow
+with the run.
 """
 
 from __future__ import annotations
@@ -49,12 +55,11 @@ from .adversaries import ClientSchedule, DelaySpike, FaultSchedule
 from .params import ConfigError, SimConfig
 from .pipeline import FairnessPipeline, PipelineResult
 from .trace import RunTrace
-from .types import Certificate, CommitRecord, Vertex, VertexRecord, tx_digest, vertex_id
+from .types import CommitRecord, Vertex, VertexRecord, tx_digest, vertex_id
 from .worker import WorkerState, decode_batch, encode_batch
 
 DELAY_BLOCK_WORDS = 4096  # MT19937 words per block of network delays
 FOREVER = 1 << 62  # the simulated time a replica that never crashes lives to
-_digest = attrgetter("digest")
 _digest_loi = attrgetter("digest", "loi")
 
 
@@ -86,6 +91,13 @@ class Simulator:
             if not 0 <= spike.replica < config.n:
                 raise ConfigError(f"delay spike replica {spike.replica} outside [0, {config.n})")
             self.spikes.setdefault(spike.round, []).append(spike)
+        for d in self.faults.directives:
+            if not 0 <= d.replica < config.n:
+                raise ConfigError(f"fault replica {d.replica} outside [0, {config.n})")
+        self.client_plan = self.clients.by_replica_round()
+        for replica, _ in self.client_plan:  # keys ascend by replica
+            if not 0 <= replica < config.n:
+                raise ConfigError(f"client replica {replica} outside [0, {config.n})")
         self.faults.check_budget(config.f)
         self.crash_round = self.faults.crash_rounds()
         if config.readiness > config.n - len(self.crash_round):
@@ -119,10 +131,7 @@ class Simulator:
 
         # DAG state
         self.by_round: dict[int, dict[int, Vertex]] = {}
-        self.vids: dict[int, list[str]] = {}  # round -> vertex id per author
-        # round -> author -> proposal time, from the next reference round on
-        self.vertex_time: dict[int, dict[int, int]] = {}
-        self.certs: dict[int, dict[int, Certificate]] = {}
+        self.certified: dict[int, set[int]] = {}  # round -> authors certified
         # per replica, round -> authors of the certificates it holds; only
         # rounds >= self.round - 1 are ever read again, so only those are kept
         self.held: list[dict[int, set[int]]] = [{} for _ in range(config.n)]
@@ -148,7 +157,6 @@ class Simulator:
         self.records: list[CommitRecord] = []  # subdag r is records[r - 1]
 
         # client bookkeeping
-        self.client_plan = self.clients.by_replica_round()
         self.injection_time: dict[str, int] = {}  # in first-injection order
         self.digest_of: dict[str, str] = {}  # body -> digest, on first delivery
         self.emit_time: dict[int, int] = {}
@@ -220,10 +228,10 @@ class Simulator:
                 if fresh:
                     append({"ev": "tx_received", "t": t, "replica": replica, "tx": digest,
                             "loi": loi, "src": "client"})
+        vid = vertex_id(round_, replica)
         if round_ == 0:
-            batch = None
-            parents: frozenset[int] = frozenset()
-            digests: tuple[str, ...] = ()
+            vertex = Vertex(VertexRecord(replica, 0, vid, ()), frozenset(), t)
+            entries = []
         else:
             batch = self.workers[replica].build_batch()
             if cfg.batch_wire:
@@ -232,12 +240,13 @@ class Simulator:
             assert len(held) >= cfg.quorum, "proposed without a quorum of parents"
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
-            parents = frozenset(held)
-            digests = tuple(map(_digest, batch.entries))
-        vid = self.vids[round_][replica]
-        vertex = Vertex(replica, round_, vid, parents, batch)
+            record = VertexRecord(
+                replica, round_, vid, tuple(map(_digest_loi, batch.entries)), batch.votes
+            )
+            vertex = Vertex(record, frozenset(held), t)
+            entries = [[e.kind, e.digest, e.loi] for e in batch.entries]
         self.by_round.setdefault(round_, {})[replica] = vertex
-        self.vertex_time.setdefault(round_, {})[replica] = t
+        prev = self.by_round.get(round_ - 1)
         self.trace.append(
             {
                 "ev": "vertex_created",
@@ -245,11 +254,11 @@ class Simulator:
                 "replica": replica,
                 "round": round_,
                 "vid": vid,
-                "parents": sorted(self.vids[round_ - 1][a] for a in parents),
-                "entries": [] if batch is None else [[e.kind, e.digest, e.loi] for e in batch.entries],
-                "votes": [] if batch is None else [
+                "parents": sorted(prev[a].record.vid for a in vertex.parents),
+                "entries": entries,
+                "votes": [
                     {"author": v.author, "r": v.target_r, "edges": [list(e) for e in v.edges]}
-                    for v in batch.votes
+                    for v in vertex.record.votes
                 ],
             }
         )
@@ -262,9 +271,7 @@ class Simulator:
         if round_ in self.spikes:
             extra = self._spike_extra(round_, replica, "vertex")
             delays = [d + extra[j] for d, j in zip(delays, receivers)]
-        self._post(
-            [t + d for d in delays], self._on_vertex, [(vertex, j, digests) for j in receivers]
-        )
+        self._post([t + d for d in delays], self._on_vertex, [(vertex, j) for j in receivers])
         # a quorum may already be on hand (e.g. this proposal was delayed past
         # the certificates of its own round), so re-check readiness now
         self._note_ready(replica, round_ + 1, t)
@@ -275,35 +282,36 @@ class Simulator:
 
     def _certify(self, vertex: Vertex, t: int) -> None:
         """Form the certificate of a vertex that has a quorum of attestors."""
-        attestors = self.attestors.pop(vertex.vid)  # later attests change nothing
-        cert = Certificate(vertex.vid, vertex.round, vertex.author, frozenset(attestors))
-        self.certs.setdefault(vertex.round, {})[vertex.author] = cert
+        n, vr = self.cfg.n, vertex.record
+        author, round_ = vr.author, vr.round
+        attestors = self.attestors.pop(vr.vid)  # later attests change nothing
+        self.certified.setdefault(round_, set()).add(author)
         self.progress = True
         self.trace.append(
             {
                 "ev": "certificate_formed",
                 "t": t,
-                "replica": vertex.author,
-                "round": vertex.round,
-                "vid": vertex.vid,
-                "attestors": sorted(cert.attestors),
+                "replica": author,
+                "round": round_,
+                "vid": vr.vid,
+                "attestors": sorted(attestors),
             }
         )
-        n, author = self.cfg.n, vertex.author
         delays = list(islice(self.net_delays, n - 1))
-        if vertex.round in self.spikes:
-            extra = self._spike_extra(vertex.round, author, "cert")
+        if round_ in self.spikes:
+            extra = self._spike_extra(round_, author, "cert")
             delays = [d + extra[j] for d, j in zip(delays, (j for j in range(n) if j != author))]
         delays.insert(author, 0)  # the author holds its own certificate at once
-        self._post([t + d for d in delays], self._on_cert, [(cert, j) for j in range(n)])
+        self._post([t + d for d in delays], self._on_cert, [(round_, author, j) for j in range(n)])
 
     def _on_vertex(self, t: int, data: tuple) -> None:
-        vertex, receiver, digests = data
+        vertex, receiver = data
         if t > self.alive_until[receiver]:
             return
         worker = self.workers[receiver]
         lois = worker.lois
-        for digest in digests:
+        record = vertex.record
+        for digest, _ in record.entries:
             if digest not in lois:  # read per digest: one listed twice gets one LOI
                 loi, _ = worker.observe_remote(digest)
                 self.trace.append(
@@ -311,8 +319,8 @@ class Simulator:
                      "tx": digest, "loi": loi, "src": "batch"}
                 )
         at = t + next(self.net_delays)
-        if vertex.round in self.spikes:
-            at += self._spike_extra(vertex.round, receiver, "attest")[vertex.author]
+        if record.round in self.spikes:
+            at += self._spike_extra(record.round, receiver, "attest")[record.author]
         events = self.queue.get(at)  # _post, inlined: this runs once per vertex message
         if events is None:
             events = self.queue[at] = deque()
@@ -321,21 +329,21 @@ class Simulator:
 
     def _on_attest(self, t: int, data: tuple) -> None:
         vertex, attestor = data
-        attestors = self.attestors.get(vertex.vid)
-        if attestors is None or t > self.alive_until[vertex.author]:
+        attestors = self.attestors.get(vertex.record.vid)
+        if attestors is None or t > self.alive_until[vertex.record.author]:
             return
         attestors.add(attestor)
         if len(attestors) >= self.cfg.quorum:
             self._certify(vertex, t)
 
     def _on_cert(self, t: int, data: tuple) -> None:
-        cert, receiver = data
-        if t > self.alive_until[receiver] or cert.round < self.round - 1:
+        round_, author, receiver = data
+        if t > self.alive_until[receiver] or round_ < self.round - 1:
             return
-        held = self.held[receiver].setdefault(cert.round, set())
-        held.add(cert.author)
+        held = self.held[receiver].setdefault(round_, set())
+        held.add(author)
         if len(held) >= self.cfg.readiness:
-            self._note_ready(receiver, cert.round + 1, t)
+            self._note_ready(receiver, round_ + 1, t)
 
     def _note_ready(self, replica: int, round_: int, t: int) -> None:
         ready = self.ready_at.setdefault(round_, {})
@@ -372,15 +380,14 @@ class Simulator:
 
     # -- public operations ----------------------------------------------------------
 
-    def advance_round(self) -> list[tuple[Vertex, Certificate]]:
+    def advance_round(self) -> None:
         """Run one DAG round: every live replica proposes once its quorum of
         previous-round certificates (self-reference included) is in; returns
-        the round's (vertex, certificate) pairs once certificates formed."""
+        once the round's certificates formed."""
         r = self.round
         live = self._live_set(r)
         lockstep = self.cfg.delivery_model == "lockstep"
         pending = set(live)
-        self.vids[r] = [vertex_id(r, a) for a in range(self.cfg.n)]
         ready = self.ready_at.setdefault(r, {})
 
         def propose_ready() -> bool:
@@ -398,22 +405,16 @@ class Simulator:
         # pump until this round's certificates form; a replica that dies right
         # after proposing cannot assemble its own certificate, so don't wait
         want = {i for i in live if self.crash_round.get(i, 1 << 30) > r + 1}
-        certs = self.certs.setdefault(r, {})
+        certified = self.certified.setdefault(r, set())
         self._pump(
-            lambda: want <= certs.keys(),
+            lambda: want <= certified,
             lambda: f"round {r} certificates never formed: "
-            f"{[vertex_id(r, i) for i in sorted(want - certs.keys())]}",
+            f"{[vertex_id(r, i) for i in sorted(want - certified)]}",
         )
         self.round += 1
         for held in self.held:
             held.pop(r - 1, None)
-        # drop what no later round or wave reads
-        del self.ready_at[r]
-        self.vids.pop(r - 1, None)
-        reference = (self.next_wave - 1) * self.cfg.wave_len + 2  # of the next unchecked wave
-        for round_ in [rd for rd in self.vertex_time if rd < reference]:
-            del self.vertex_time[round_]
-        return [(self.by_round[r][i], certs[i]) for i in live if i in certs]
+        del self.ready_at[r]  # no later round reads it
 
     def _coin(self, wave: int) -> int:
         return random.Random(f"{self.cfg.seed}:coin:{wave}").randrange(self.cfg.n)
@@ -430,11 +431,9 @@ class Simulator:
             self.next_wave += 1
             leader_author = self._coin(wave)
             leader = self.by_round.get(leader_round, {}).get(leader_author)
-            if leader is not None and leader_author in self.certs.get(leader_round, {}):
-                times = self.vertex_time[leader_round + 1]
+            if leader is not None and leader_author in self.certified.get(leader_round, ()):
                 children = sorted(
-                    times[a]
-                    for a, v in self.by_round.get(leader_round + 1, {}).items()
+                    v.t for v in self.by_round.get(leader_round + 1, {}).values()
                     if leader_author in v.parents
                 )
                 if len(children) >= cfg.f + 1:
@@ -444,14 +443,15 @@ class Simulator:
     def _commit(self, leader: Vertex, wave: int, commit_t: int) -> CommitRecord:
         # causal history of the leader minus already-committed vertices
         stack = [leader]
-        collected: dict[str, Vertex] = {}
+        collected: dict[str, VertexRecord] = {}
         while stack:
             v = stack.pop()
-            if v.vid in self.committed_vids or v.vid in collected:
+            vr = v.record
+            if vr.vid in self.committed_vids or vr.vid in collected:
                 continue
-            collected[v.vid] = v
-            stack.extend(self.by_round[v.round - 1][a] for a in sorted(v.parents))
-        vertices = sorted(collected.values(), key=lambda v: (v.round, v.author))
+            collected[vr.vid] = vr
+            stack.extend(self.by_round[vr.round - 1][a] for a in sorted(v.parents))
+        vertices = tuple(sorted(collected.values(), key=lambda vr: (vr.round, vr.author)))
         self.committed_vids.update(collected)
         r = len(self.records) + 1
         self.trace.append(
@@ -461,18 +461,11 @@ class Simulator:
                 "replica": None,
                 "r": r,
                 "wave": wave,
-                "leader": leader.vid,
-                "vertices": [v.vid for v in vertices],
+                "leader": leader.record.vid,
+                "vertices": [vr.vid for vr in vertices],
             }
         )
-        vrs = []
-        for v in vertices:
-            if v.batch is None:
-                vrs.append(VertexRecord(v.author, v.round, v.vid, ()))
-            else:
-                entries = tuple(map(_digest_loi, v.batch.entries))
-                vrs.append(VertexRecord(v.author, v.round, v.vid, entries, v.batch.votes))
-        record = CommitRecord(r, leader.vid, tuple(vrs))
+        record = CommitRecord(r, leader.record.vid, vertices)
         self.records.append(record)
         # the fairness layer costs no simulated time: whatever the subdag
         # lets emit is stamped with its commit time

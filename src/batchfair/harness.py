@@ -523,6 +523,13 @@ def load_scenario_file(path: str | Path) -> Scenario:
                 raise ConfigError(
                     f"clients.items[{i}]: expected [body, replica, round, seq], got {item!r}"
                 )
+            if not isinstance(item[0], str):
+                raise ConfigError(f"clients.items[{i}].body must be a string, got {item[0]!r}")
+            for name, value in zip(("replica", "round", "seq"), item[1:]):
+                if type(value) is not int or value < 0:
+                    raise ConfigError(
+                        f"clients.items[{i}].{name} must be an integer >= 0, got {value!r}"
+                    )
         clients = ClientSchedule([ClientDirective(*item) for item in items])
     else:
         raise ConfigError(f"clients.kind: unknown kind {kind!r}, expected 'uniform' or 'items'")

@@ -63,27 +63,6 @@ def vertex_id(round_: int, author: int) -> str:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    """A round-stamped DAG proposal carrying its author's sealed batch."""
-
-    author: int
-    round: int
-    vid: str
-    parents: frozenset[int]  # authors of the round-1 vertices it references
-    batch: Batch | None  # None only for genesis
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Availability certificate for one vertex."""
-
-    vid: str
-    round: int
-    author: int
-    attestors: frozenset[int]
-
-
-@dataclass(frozen=True)
 class FinalOrder:
     """The finalized transaction order of one subdag.
 
@@ -105,6 +84,16 @@ class VertexRecord:
     vid: str
     entries: tuple[tuple[str, int], ...]  # (digest, loi) in reported order
     votes: tuple[FairUpdateVote, ...] = ()
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """A simulated DAG proposal: its commit-stream record (author, round, id
+    and contribution), plus what only the simulator reads."""
+
+    record: VertexRecord
+    parents: frozenset[int]  # authors of the round-1 vertices it references
+    t: int  # proposal time
 
 
 @dataclass(frozen=True)

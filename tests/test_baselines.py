@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from batchfair.baselines import DodModel, FairDagModel
 from batchfair.scenarios import build_scenario
@@ -44,6 +45,10 @@ def test_thresholds_match_setting():
     model = FairDagModel(4, 1, patched=False)
     assert model.shaded_threshold == 2  # ceil((N-f)/2)
     assert model.solid_threshold == 3  # N-f
+    # a float gamma is read exactly, as SimConfig reads it: 0.7 is 7/10
+    for gamma in (0.7, "7/10", Fraction(7, 10)):
+        dod = DodModel(10, 1, gamma, patched=False)
+        assert (dod.edge_threshold, dod.solid_threshold) == (5, 8)  # ceil(10 * 3/10 + 2), N-2f
 
 
 def test_symmetric_workload_patched_and_unpatched_agree():

@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import heapq
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 from itertools import islice
+from types import FunctionType, ModuleType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +28,11 @@ from batchfair.scenarios import build_scenario
 from batchfair.types import (
     DIRECT,
     INDIRECT,
-    Certificate,
+    Batch,
     Entry,
+    FairUpdateVote,
     Vertex,
+    VertexRecord,
     orders_digest,
     tx_digest,
     vertex_id,
@@ -41,22 +47,25 @@ def lockstep_sim(n=5, f=1, seed=7, max_rounds=10, **kw) -> Simulator:
 
 def test_genesis_round_yields_n_vertices_and_certificates():
     sim = lockstep_sim()
-    pairs = sim.advance_round()
-    assert len(pairs) == 5
-    for vertex, cert in pairs:
-        assert isinstance(vertex, Vertex) and isinstance(cert, Certificate)
-        assert vertex.round == 0 and vertex.parents == frozenset()
-        assert vertex.batch is None  # genesis carries no payload
-        assert len(cert.attestors) >= sim.cfg.quorum
+    sim.advance_round()
+    assert sorted(sim.by_round[0]) == [0, 1, 2, 3, 4]
+    assert sim.certified[0] == {0, 1, 2, 3, 4}
+    for author, vertex in sim.by_round[0].items():
+        # genesis carries no payload
+        assert vertex == Vertex(VertexRecord(author, 0, vertex_id(0, author), ()), frozenset(), 0)
+    certs = [e for e in sim.trace.events if e["ev"] == "certificate_formed"]
+    assert sorted(e["replica"] for e in certs) == [0, 1, 2, 3, 4]
+    assert all(len(e["attestors"]) >= sim.cfg.quorum for e in certs)
 
 
 def test_vertices_reference_quorum_and_self():
     sim = lockstep_sim()
     sim.advance_round()
-    pairs = sim.advance_round()
-    for vertex, _ in pairs:
+    sim.advance_round()
+    assert len(sim.by_round[1]) == 5
+    for author, vertex in sim.by_round[1].items():
         assert len(vertex.parents) >= sim.cfg.quorum
-        assert vertex.author in vertex.parents  # self-referencing rule
+        assert author in vertex.parents  # self-referencing rule
 
 
 def test_crashed_replica_stops_proposing():
@@ -123,19 +132,15 @@ def test_leader_commits_only_with_f_plus_one_references():
     keep = sorted(children)[:1]
     for author, v in list(sim.by_round[2].items()):
         if author in children and author not in keep:
-            sim.by_round[2][author] = Vertex(
-                v.author, v.round, v.vid, v.parents - {leader_author}, v.batch
-            )
+            sim.by_round[2][author] = replace(v, parents=v.parents - {leader_author})
     assert sim.try_commit() == []  # exactly f references: below threshold
     # restore one reference: f+1 reached, the wave commits
     sim.next_wave = 1
     restore = sorted(set(children) - set(keep))[0]
     v = sim.by_round[2][restore]
-    sim.by_round[2][restore] = Vertex(
-        v.author, v.round, v.vid, v.parents | {leader_author}, v.batch
-    )
+    sim.by_round[2][restore] = replace(v, parents=v.parents | {leader_author})
     committed = sim.try_commit()
-    assert committed and committed[0].leader_vid == leader.vid
+    assert committed and committed[0].leader_vid == leader.record.vid
 
 
 def test_leader_commits_with_parents_at_round_ten_thousand():
@@ -144,19 +149,44 @@ def test_leader_commits_with_parents_at_round_ten_thousand():
     for rnd in (10_000, 10_001, 10_002):
         parents = frozenset() if rnd == 10_000 else frozenset(range(5))
         sim.by_round[rnd] = {
-            a: Vertex(a, rnd, vertex_id(rnd, a), parents, None) for a in range(5)
+            a: Vertex(VertexRecord(a, rnd, vertex_id(rnd, a), ()), parents, a) for a in range(5)
         }
-    sim.vertex_time[10_002] = {a: a for a in range(5)}
     leader = sim._coin(wave)
-    sim.certs[10_001] = {
-        leader: Certificate(vertex_id(10_001, leader), 10_001, leader, frozenset(range(5)))
-    }
+    sim.certified[10_001] = {leader}
     sim.round, sim.next_wave = 10_003, wave
     [record] = sim.try_commit()
     assert record.leader_vid == vertex_id(10_001, leader)
     assert [vr.vid for vr in record.vertices] == [
         *(vertex_id(10_000, a) for a in range(5)), vertex_id(10_001, leader)
     ]
+
+
+def _reachable(root) -> list:
+    """Every object reachable from root through data: types, modules and
+    functions are not followed."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, ModuleType, FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+@pytest.mark.parametrize("name,kwargs", [("crash_n13", {"txs": 400}), ("wire_binary", {})])
+def test_records_are_built_once_and_no_batch_outlives_its_proposal(name, kwargs):
+    sc = build_scenario(name, **kwargs)
+    sim = Simulator(sc.config, sc.faults, sc.clients, sc.spikes)
+    res = sim.run()
+    for rec in res.records:
+        for vr in rec.vertices:
+            assert vr is sim.by_round[vr.round][vr.author].record
+    kinds = Counter(type(obj) for obj in _reachable(sim.by_round))
+    assert kinds[VertexRecord] == sum(map(len, sim.by_round.values()))
+    assert kinds[FairUpdateVote] > 0  # the walk reaches the records' votes
+    assert kinds[Batch] == kinds[Entry] == 0
 
 
 def test_held_certificates_span_at_most_two_rounds():
@@ -173,13 +203,13 @@ def test_per_round_bookkeeping_stays_bounded():
     sc = build_scenario("crash_n13")
     sim = Simulator(sc.config, sc.faults, sc.clients, sc.spikes)
     while sim.round <= sim.cfg.max_rounds:
-        reference = (sim.next_wave - 1) * sim.cfg.wave_len + 2
         sim.advance_round()
         assert set(sim.ready_at) <= {sim.round}
-        assert set(sim.vids) == {sim.round - 1}
-        assert all(reference <= rd < sim.round for rd in sim.vertex_time)
-        assert len(sim.vertex_time) <= sim.cfg.wave_len
         assert len(sim.attestors) <= len(sim.crash_round)
+        # by_round and certified keep every round (ROADMAP item 9), and a
+        # certificate names a proposed vertex
+        assert set(sim.by_round) == set(sim.certified) == set(range(sim.round))
+        assert all(sim.certified[rd] <= sim.by_round[rd].keys() for rd in sim.certified)
         # one heap entry per pending time, no empty time, none before now
         assert sorted(sim.times) == sorted(sim.queue)
         assert all(sim.queue.values())
@@ -258,6 +288,18 @@ def test_delay_spike_replica_outside_the_replicas_is_config_error():
     Simulator(cfg, spikes=[DelaySpike(4, 4, 30, "inbound"), DelaySpike(0, 0, 0)])
 
 
+def test_fault_and_client_replicas_outside_the_replicas_are_config_errors():
+    cfg = SimConfig(n=5, f=1, gamma=1, seed=3)
+    for strategy, round_ in ((SILENT_CRASH, 3), (REVERSE_ORDER, 0)):
+        with pytest.raises(ConfigError, match=r"fault replica 99 outside \[0, 5\)"):
+            Simulator(cfg, faults=FaultSchedule([FaultDirective(99, strategy, round_)]))
+    clients = ClientSchedule([ClientDirective("a", 0, 1, 0), ClientDirective("x", 5, 1, 1)])
+    with pytest.raises(ConfigError, match=r"client replica 5 outside \[0, 5\)"):
+        Simulator(cfg, clients=clients)
+    Simulator(cfg, faults=FaultSchedule([FaultDirective(4, SILENT_CRASH, 0)]),
+              clients=ClientSchedule([ClientDirective("a", 4, 1, 0)]))
+
+
 @pytest.mark.parametrize("lo,hi", [(3, 3), (0, 2), (1, 4), (1, 6), (2, 9)])
 def test_block_drawn_delays_match_randint(lo, hi):
     # spans 1, 3, 4, 6 and 8: k = 1..4 bits, powers of two and not
@@ -333,8 +375,8 @@ def test_digest_listed_twice_in_a_batch_gets_one_loi():
     sim.advance_round()
     tx = tx_digest("twice")
     sim.workers[0].entry_queue = [Entry(DIRECT, tx, 0, "twice"), Entry(INDIRECT, tx, 0)]
-    [vertex] = [v for v, _ in sim.advance_round() if v.author == 0]
-    assert [e.digest for e in vertex.batch.entries] == [tx, tx]
+    sim.advance_round()
+    assert sim.by_round[1][0].record.entries == ((tx, 0), (tx, 0))
     assert _receipts(sim) == [(j, tx, 0) for j in range(1, 5)]
     assert all(sim.workers[j].lois == {tx: 0} for j in range(1, 5))
 
@@ -348,8 +390,8 @@ def test_batch_of_known_digests_adds_no_receipt():
         sim.workers[j].observe_client("known", tx)
     receipts = _receipts(sim)
     lois = [dict(w.lois) for w in sim.workers]
-    pairs = sim.advance_round()
-    assert [e.digest for v, _ in pairs for e in v.batch.entries] == [tx] * 5
+    sim.advance_round()
+    assert [v.record.entries for v in sim.by_round[1].values()] == [((tx, 0),)] * 5
     assert _receipts(sim) == receipts
     assert [w.lois for w in sim.workers] == lois
 
@@ -381,6 +423,10 @@ def test_fault_schedule_validation():
     sched = FaultSchedule([FaultDirective(0, SILENT_CRASH, 1)])
     with pytest.raises(ValueError):
         sched.check_budget(0)
+    for replica, round_, field in ((-1, 3, "replica"), (True, 3, "replica"),
+                                   (1, -4, "round"), (1, "3", "round")):
+        with pytest.raises(ConfigError, match=f"fault directive {field} must be an integer >= 0"):
+            FaultDirective(replica, SILENT_CRASH, round_)
 
 
 def test_client_schedule_rounds_nondecreasing_per_replica():

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from batchfair.dagsim import Simulator
 from batchfair.harness import execute_scenario
 from batchfair.scenarios import build_scenario
 
@@ -114,3 +115,14 @@ def test_shipped_scenario_matches_golden_digests(name, variant, serial, pool):
     report, res = execute_scenario(scenario, serial=serial, pool=pool, variant=variant)
     got = (report.emitted_digest, report.report_hash(), trace_digest(res.trace))
     assert got == GOLDEN[name, tuple(sorted(variant.items()))]
+
+
+@pytest.mark.parametrize(
+    "name,variant",
+    [pytest.param(name, variant, id=f"{name}-{dict(variant)}") for name, variant in sorted(GOLDEN)],
+)
+def test_trace_holds_the_commit_stream(name, variant):
+    # report_from_trace rebuilds the commit stream from the trace alone
+    sc = build_scenario(name, **dict(variant))
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    assert res.trace.commit_records() == res.records

@@ -150,6 +150,38 @@ def test_three_field_client_item_is_config_error(tmp_path):
         load_doc(tmp_path, clients={"kind": "items", "items": items})
 
 
+@pytest.mark.parametrize("item,field", [
+    ([1, 0, 1, 0], "body"),
+    (["x", 0, "1", 0], "round"),
+    (["x", -1, 1, 0], "replica"),
+    (["x", True, 1, 0], "replica"),
+    (["x", 0, 1, 0.0], "seq"),
+])
+def test_malformed_client_item_is_config_error(tmp_path, item, field):
+    items = [["tx-a", 0, 1, 0], item]
+    with pytest.raises(ConfigError, match=rf"clients.items\[1\].{field} must be"):
+        load_doc(tmp_path, clients={"kind": "items", "items": items})
+
+
+@pytest.mark.parametrize("doc,match", [
+    ({"faults": [{"replica": 99, "strategy": "silent_crash", "round": 3}]},
+     r"fault replica 99 outside \[0, 5\)"),
+    ({"faults": [{"replica": 99, "strategy": "reverse_local_order", "round": 0}]},
+     r"fault replica 99 outside \[0, 5\)"),
+    ({"faults": [{"replica": 1, "strategy": "silent_crash", "round": -4}]},
+     "fault directive round must be an integer >= 0"),
+    ({"faults": [{"replica": "1", "strategy": "silent_crash", "round": 3}]},
+     "fault directive replica must be an integer >= 0"),
+    ({"clients": {"kind": "items", "items": [["tx-a", 0, 1, 0], ["x", 99, 1, 0]]}},
+     r"client replica 99 outside \[0, 5\)"),
+], ids=["crash-replica", "reverser-replica", "negative-round", "string-replica", "client-replica"])
+def test_malformed_directive_run_is_config_error(tmp_path, doc, match):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**BASE_DOC, **doc}))
+    with pytest.raises(ConfigError, match=match):
+        run_scenario(str(path), serial=True, outdir=tmp_path / "out")
+
+
 def test_json_batch_wire_is_config_error(tmp_path):
     assert load_doc(tmp_path, batch_wire="binary").config.batch_wire == "binary"
     with pytest.raises(ConfigError, match="unknown batch wire format 'json'"):

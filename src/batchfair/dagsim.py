@@ -95,9 +95,11 @@ class Simulator:
             if not 0 <= d.replica < config.n:
                 raise ConfigError(f"fault replica {d.replica} outside [0, {config.n})")
         self.client_plan = self.clients.by_replica_round()
-        for replica, _ in self.client_plan:  # keys ascend by replica
+        for replica, round_ in self.client_plan:  # keys ascend by replica
             if not 0 <= replica < config.n:
                 raise ConfigError(f"client replica {replica} outside [0, {config.n})")
+            if round_ > config.max_rounds:
+                raise ConfigError(f"client round {round_} past max_rounds {config.max_rounds}")
         self.faults.check_budget(config.f)
         self.crash_round = self.faults.crash_rounds()
         if config.readiness > config.n - len(self.crash_round):

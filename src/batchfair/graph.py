@@ -3,16 +3,18 @@
 Snapshot extraction decides a subdag's support classes, once: it counts how
 many authors list each unclaimed pending digest, admits those at tau_i,
 marks those at tau_s solid, and passes each author's admitted contributions
-on as integer indices into the admitted list. Phase 1, the dominant cost, is
-then a numpy kernel that counts the pairwise weight matrix from those index
-orders (a pure function of the snapshot). Phase 2 drops the admitted
-transactions that an earlier subdag already retained (``CumulativeState.proposed``)
-and turns the weights into a k x k boolean adjacency matrix. Phase 3 gives
-each vertex its SCC's canonical position (``scc_positions``) and truncates
-past the anchor. When no retained pair is missing, phase 3 also linearizes
-the retained SCCs into the subdag's final order; otherwise it returns the
-truncated graph, which the coordinator (pipeline.py) parks until votes
-resolve its missing edges.
+on as integer indices into the admitted list. Phase 1 then counts the
+pairwise weight matrix from those index orders with one broadcast comparison
+per block of authors (a pure function of the snapshot). Phase 2 drops the
+admitted transactions that an earlier subdag already retained
+(``CumulativeState.proposed``) and turns the weights into a k x k boolean
+adjacency matrix. Phase 3 gives each vertex its SCC's canonical position
+(``scc_positions``), each BFS level of its forward-backward search one
+vector-matrix product, and truncates past the anchor. When no retained pair
+is missing, phase 3 also linearizes the retained SCCs into the subdag's
+final order; otherwise it returns the truncated graph, which the coordinator
+(pipeline.py) parks until votes resolve its missing edges. When the anchor
+keeps every vertex, the truncated graph is the phase-2 graph itself.
 
 Phase 1 is the step a process pool runs (``weight_counts``), so what
 crosses the process boundary is small: the admitted count and index lists
@@ -165,20 +167,35 @@ def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
 # -- Phase 1 ------------------------------------------------------------------
 
 
+PHASE1_BLOCK_BYTES = 1 << 22
+"""Most bytes of pairwise comparisons phase 1 holds at once: authors are
+compared in blocks of at most ``PHASE1_BLOCK_BYTES // m**2``. On a 2-core
+host, 13 authors at m = 600 and 1,200 ran within 7% of one unsplit block."""
+
+
 def weight_counts(m: int, orders: dict[int, list[int]]) -> np.ndarray:
     """The pair-enumeration kernel: W[i, j] is the number of orders listing
     admitted[i] before admitted[j].
 
-    Each author's order adds one to every ordered pair it lists, in one
-    fancy-index add of a strict upper triangle. The dtype holds the author
-    count, so no cell can wrap.
+    Row ``a`` of ``positions`` holds each admitted index's position in author
+    a's order, m where a does not list it; ``listed`` is the same with -1 for
+    m. A pair counts for an author exactly when positions[a, i] < listed[a, j]:
+    it lists both, i first. So one broadcast comparison per block of authors
+    counts every ordered pair. The dtype holds the author count, so no cell
+    can wrap.
     """
-    w = np.zeros((m, m), dtype=np.min_scalar_type(len(orders)))
-    longest = max(map(len, orders.values()), default=0)
-    before = np.triu(np.ones((longest, longest), dtype=w.dtype), 1)
-    for fi in orders.values():
-        ix = np.array(fi)
-        w[ix[:, None], ix] += before[: len(fi), : len(fi)]
+    dtype = np.min_scalar_type(len(orders))
+    positions = np.full((len(orders), m), m, dtype=np.int32)
+    for row, fi in zip(positions, orders.values()):
+        row[fi] = np.arange(len(fi))
+    listed = np.where(positions < m, positions, -1)
+    block = max(1, PHASE1_BLOCK_BYTES // max(1, m * m))
+    w = np.zeros((m, m), dtype=dtype)
+    for lo in range(0, len(orders), block):
+        w += np.add.reduce(
+            positions[lo : lo + block, :, None] < listed[lo : lo + block, None, :],
+            axis=0, dtype=dtype,
+        )
     return w
 
 
@@ -218,15 +235,24 @@ def phase2_build_graph(snap: Snapshot, proposed, tau_i: int) -> DepGraph:
 # -- SCC machinery -------------------------------------------------------------
 
 
-def _reach(adj: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
-    """Vertices of ``allowed`` that ``start`` reaches through ``allowed``
-    (``start`` included), breadth first: one row gather per level."""
-    seen = np.zeros(len(adj), dtype=bool)
-    seen[start] = True
-    frontier = seen
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & allowed & ~seen
-        seen |= frontier
+def _reach(step: np.ndarray, start: int, allowed: np.ndarray) -> np.ndarray:
+    """The vertices of ``allowed`` that ``start`` reaches through ``allowed``
+    (``start`` included), as a 0/1 float32 mask; ``allowed`` is one too.
+
+    ``step`` is the adjacency with its diagonal set, so one vector-matrix
+    product takes the reached set one BFS level further. The search stops
+    when a level adds nothing or every allowed vertex is reached. Counts stay
+    below 2**24, so float32 holds them exactly.
+    """
+    seen = np.zeros_like(allowed)
+    seen[start] = 1
+    count, limit = 1, np.count_nonzero(allowed)
+    while count < limit:
+        seen = np.minimum(seen @ step, allowed)
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            break
+        count = grown
     return seen
 
 
@@ -242,22 +268,32 @@ def scc_positions(adj: np.ndarray) -> np.ndarray:
     smallest member digest because vertices ascend by digest. The anchor
     truncation rule depends on which valid topological order is used, so this
     canonical rule is part of the protocol, not an implementation detail.
+
+    Each SCC's row of the condensation is one vector-matrix product, taken
+    when the SCC is found. One matrix product over all SCCs (membership^T x
+    adjacency x membership) would cross OpenBLAS's threading threshold once
+    SCCs x k^2 reaches 2**18: on a 2-core host this function then took 31 ms
+    on a transitive 150-vertex tournament, against 3.5 ms with per-SCC rows.
     """
     k = len(adj)
     label = np.full(k, -1)
     if k == 0:
         return label
-    reverse = adj.T.copy()  # row v: the vertices with an edge into v
-    c = 0
-    for pivot in range(k):
-        if label[pivot] < 0:
-            forward = _reach(adj, pivot, label < 0)
-            label[_reach(reverse, pivot, forward)] = c
-            c += 1
+    step = adj.astype(np.float32)
+    np.fill_diagonal(step, 1)
+    unassigned = np.ones(k, dtype=np.float32)
+    out_rows = []  # per SCC label: what its members reach in one step
+    while unassigned.any():
+        pivot = int(unassigned.argmax())
+        scc = _reach(step.T, pivot, _reach(step, pivot, unassigned))
+        label[scc > 0] = len(out_rows)
+        out_rows.append(scc @ step)
+        unassigned -= scc
     # Kahn over the condensation; labels ascend with their smallest member
+    c = len(out_rows)
+    src, dst = np.nonzero(np.array(out_rows))
     dag = np.zeros((c, c), dtype=bool)
-    for j in range(c):
-        dag[j, label[adj[label == j].any(axis=0)]] = True
+    dag[src, label[dst]] = True
     np.fill_diagonal(dag, False)
     indeg = np.count_nonzero(dag, axis=0).tolist()
     out_edges = [np.flatnonzero(row).tolist() for row in dag]
@@ -296,10 +332,15 @@ def phase3_anchor(graph: DepGraph) -> tuple[FinalOrder | DepGraph, int, list[str
     Returns the subdag's FinalOrder when no retained pair is missing (the
     retained SCCs are a predecessor-closed prefix of the canonical order, so
     they already are the truncated graph's final order), else the truncated
-    graph to park; then the anchor and the retained digests.
+    graph to park, which is ``graph`` itself when the anchor keeps every
+    vertex; then the anchor and the retained digests.
     """
     pos = scc_positions(graph.adj)
     anchor = int(pos[graph.solid].max(initial=-1)) + 1
+    if anchor > pos.max(initial=-1):  # the anchor keeps every vertex
+        if graph.missing:
+            return graph, anchor, graph.nodes
+        return linearize(graph.r, graph.nodes, pos), anchor, graph.nodes
     kept = np.flatnonzero(pos < anchor)
     nodes = [graph.nodes[v] for v in kept.tolist()]
     kept_set = set(nodes)

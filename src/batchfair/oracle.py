@@ -5,7 +5,14 @@ pipeline modules. One kernel, ``_precedence``, counts for every check how
 many orders put one transaction before another: the serial reference's
 weights over each subdag's admitted set, the gamma-batch-order-fairness
 counts over the replicas' receive orders, and the Dist table's reported
-and honest counts. The serial
+and honest counts. The pipeline's phase 1 (``graph.weight_counts``) applies
+the same comparison rule, but differently: it takes every author's order at
+once as integer indices into the admitted list, compares them in one
+broadcast per block of authors and sums in the smallest unsigned dtype that
+holds the author count, while ``_precedence`` maps digests itself, takes one
+order at a time and adds into int16. The two share the rule, not code. The
+pure-Python ``reference_weight_counts`` in the tests, one increment per
+listed pair, remains the independent check of the pipeline's counts. The serial
 reference finds SCCs from a Warshall reachability closure over a boolean
 adjacency matrix and replays votes from the recorded stream with per-author
 edge counts. Pair evidence and the per-pair vote tallies are built from the

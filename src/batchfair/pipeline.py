@@ -28,12 +28,10 @@ releases at once follow every event of the landing.
 
 Both modes land the same records in the same order, so they produce
 bit-identical emitted orders; only wall-clock differs. The parallel work runs
-on a process pool: the kernel makes one small numpy call per author, and
-threads would hold the GIL between those calls. A task ships the admitted
-count and every author's order as integer indices, and its result is the
-m x m count matrix alone, one byte per cell below 256 authors: no digest
-crosses the pool in either direction, and the coordinator attaches the counts
-to its own snapshot.
+on a process pool. A task ships the admitted count and every author's order
+as integer indices, and its result is the m x m count matrix alone, one byte
+per cell below 256 authors: no digest crosses the pool in either direction,
+and the coordinator attaches the counts to its own snapshot.
 """
 
 from __future__ import annotations

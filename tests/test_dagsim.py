@@ -24,7 +24,7 @@ from batchfair.adversaries import (
 )
 from batchfair.dagsim import DELAY_BLOCK_WORDS, Simulator
 from batchfair.params import ConfigError, SimConfig
-from batchfair.scenarios import build_scenario
+from batchfair.scenarios import build_scenario, sweep_scenario
 from batchfair.types import (
     DIRECT,
     INDIRECT,
@@ -298,6 +298,21 @@ def test_fault_and_client_replicas_outside_the_replicas_are_config_errors():
         Simulator(cfg, clients=clients)
     Simulator(cfg, faults=FaultSchedule([FaultDirective(4, SILENT_CRASH, 0)]),
               clients=ClientSchedule([ClientDirective("a", 4, 1, 0)]))
+
+
+def test_client_round_past_max_rounds_is_config_error():
+    sc = sweep_scenario(5, 1, 1, 1)
+    last = sc.config.max_rounds
+
+    def sim(*extra):
+        clients = ClientSchedule([*sc.clients.directives, *extra])
+        return Simulator(sc.config, sc.faults, clients, sc.spikes)
+
+    with pytest.raises(ConfigError, match=f"client round 1000000 past max_rounds {last}"):
+        sim(ClientDirective("late", 0, 10**6, 10**9))
+    # the run's last round still injects
+    res = sim(ClientDirective("last", 0, last, 10**9)).run()
+    assert tx_digest("last") in res.injection_time
 
 
 @pytest.mark.parametrize("lo,hi", [(3, 3), (0, 2), (1, 4), (1, 6), (2, 9)])

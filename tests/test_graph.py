@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchfair import pipeline
+from batchfair import graph, pipeline
 from batchfair.dagsim import Simulator
 from batchfair.graph import (
     CumulativeState,
+    DepGraph,
     Snapshot,
     apply_result,
     classify,
@@ -158,6 +160,19 @@ def test_phase1_counts_past_255_authors_do_not_wrap():
     weights = weight_counts(m, orders)
     assert weights.dtype == np.uint16
     assert weights[0, 1] >= 280
+    assert_same_counts(weights, m, orders)
+
+
+@pytest.mark.parametrize("authors", [13, 300])
+@pytest.mark.parametrize("budget", [1, 10_000])
+def test_phase1_blocks_of_authors_match_reference(monkeypatch, budget, authors):
+    # 1 byte: one author per block; 10,000 bytes: blocks of 6 at m = 40
+    monkeypatch.setattr(graph, "PHASE1_BLOCK_BYTES", budget)
+    rng = random.Random(authors)
+    m = 40
+    orders = {a: rng.sample(range(m), rng.randint(1, m)) for a in range(authors)}
+    weights = weight_counts(m, orders)
+    assert weights.dtype == (np.uint16 if authors > 255 else np.uint8)
     assert_same_counts(weights, m, orders)
 
 
@@ -411,6 +426,43 @@ def test_phase3_empty_graph():
     )
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == [] and trunc == FinalOrder(1, (), ())
+
+
+def test_phase3_matches_reference_on_near_tournaments():
+    """Anchor, retained digests, missing pairs and the final order or parked
+    graph, against the oracle closure's SCCs of random phase-2-shaped graphs."""
+    seen = Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        size = rng.randint(1, 24)
+        adj = near_tournament(rng, size, rng.choice([0.0, 0.02, 0.1, 0.3]), rng.random())
+        nodes = sorted(d(f"v{i}") for i in range(size))
+        solid = np.array([rng.random() < 0.15 for _ in range(size)], dtype=bool)
+        missing = [(nodes[a], nodes[b]) for a, b in combinations(range(size), 2)
+                   if not adj[a, b] and not adj[b, a]]
+        outcome, anchor, k = phase3_anchor(DepGraph(1, nodes, adj.copy(), missing, solid))
+
+        members = reference_members(adj)
+        want_anchor = 1 + max((i for i, scc in enumerate(members) if solid[scc].any()), default=-1)
+        kept = sorted(v for scc in members[:want_anchor] for v in scc)
+        kept_set = {nodes[v] for v in kept}
+        assert anchor == want_anchor
+        assert k == [nodes[v] for v in kept]
+        want_missing = [p for p in missing if set(p) <= kept_set]
+        if want_missing:
+            assert isinstance(outcome, DepGraph)
+            assert outcome.nodes == k and outcome.missing == want_missing
+            assert np.array_equal(outcome.adj, adj[np.ix_(kept, kept)])
+            assert np.array_equal(outcome.solid, solid[kept])
+        else:
+            ends = np.cumsum([len(scc) for scc in members[:want_anchor]]).tolist()
+            assert outcome == FinalOrder(
+                1, tuple(nodes[v] for scc in members[:want_anchor] for v in scc),
+                tuple(zip([0, *ends[:-1]], ends)),
+            )
+        seen[len(kept) == size, bool(want_missing)] += 1
+    # every vertex kept or some truncated, each finalized or parked
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 # -- phase 4 --------------------------------------------------------------------------

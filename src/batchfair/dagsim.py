@@ -25,8 +25,11 @@ delivery draw nothing.
 Each vertex is built once, at proposal: its commit-stream record (the
 batch's (digest, LOI) entries and votes), its parents and its proposal time.
 The sealed batch is dropped there, and a commit hands the fairness layer the
-very records ``by_round`` holds. A certificate is its author's entry in
-``certified[round]``; its message carries (round, author, receiver).
+very records ``by_round`` held. The stores that hold a vertex are its status:
+``by_round`` holds the uncommitted vertices and ``attestors`` the uncertified
+ones, so a commit takes its vertices out of ``by_round`` and a certificate
+pops its vertex's attestors. A certificate message carries (round, author,
+receiver).
 
 The hot paths do only the work that changes state. A receiver of a vertex
 walks its record's entries in order and observes only the digests missing
@@ -34,10 +37,10 @@ from its LOI table, re-checking each so that a digest listed twice still gets
 one LOI. Each client body is hashed on its first delivery. The pumps re-check
 readiness and certificates only after an event that recorded a readiness or
 formed a certificate, since nothing else moves them. Per-round bookkeeping
-keeps only the rounds still read: ``ready_at`` from the current round on,
-``held`` for the current and previous round, and ``attestors`` until the
-vertex certifies. ``by_round``, ``certified`` and ``committed_vids`` grow
-with the run.
+keeps only the rounds still read: ``ready_at`` from the current round on and
+``held`` for the current and previous round. Nothing reads a committed vertex
+again: a round-r proposal reads round r-1, and a leader at round L commits
+only once round L+1 is complete, with a history of rounds <= L.
 """
 
 from __future__ import annotations
@@ -132,8 +135,7 @@ class Simulator:
             w.vote_cb = self._on_vote_cast
 
         # DAG state
-        self.by_round: dict[int, dict[int, Vertex]] = {}
-        self.certified: dict[int, set[int]] = {}  # round -> authors certified
+        self.by_round: dict[int, dict[int, Vertex]] = {}  # uncommitted vertices only
         # per replica, round -> authors of the certificates it holds; only
         # rounds >= self.round - 1 are ever read again, so only those are kept
         self.held: list[dict[int, set[int]]] = [{} for _ in range(config.n)]
@@ -154,7 +156,6 @@ class Simulator:
         ]
 
         # commit state
-        self.committed_vids: set[str] = set()
         self.next_wave = 1  # waves below it have been checked
         self.records: list[CommitRecord] = []  # subdag r is records[r - 1]
 
@@ -248,7 +249,6 @@ class Simulator:
             vertex = Vertex(record, frozenset(held), t)
             entries = [[e.kind, e.digest, e.loi] for e in batch.entries]
         self.by_round.setdefault(round_, {})[replica] = vertex
-        prev = self.by_round.get(round_ - 1)
         self.trace.append(
             {
                 "ev": "vertex_created",
@@ -256,7 +256,7 @@ class Simulator:
                 "replica": replica,
                 "round": round_,
                 "vid": vid,
-                "parents": sorted(prev[a].record.vid for a in vertex.parents),
+                "parents": sorted(vertex_id(round_ - 1, a) for a in vertex.parents),
                 "entries": entries,
                 "votes": [
                     {"author": v.author, "r": v.target_r, "edges": [list(e) for e in v.edges]}
@@ -287,7 +287,6 @@ class Simulator:
         n, vr = self.cfg.n, vertex.record
         author, round_ = vr.author, vr.round
         attestors = self.attestors.pop(vr.vid)  # later attests change nothing
-        self.certified.setdefault(round_, set()).add(author)
         self.progress = True
         self.trace.append(
             {
@@ -406,12 +405,11 @@ class Simulator:
         )
         # pump until this round's certificates form; a replica that dies right
         # after proposing cannot assemble its own certificate, so don't wait
-        want = {i for i in live if self.crash_round.get(i, 1 << 30) > r + 1}
-        certified = self.certified.setdefault(r, set())
+        want = [vertex_id(r, i) for i in live if self.crash_round.get(i, 1 << 30) > r + 1]
         self._pump(
-            lambda: want <= certified,
+            lambda: self.attestors.keys().isdisjoint(want),
             lambda: f"round {r} certificates never formed: "
-            f"{[vertex_id(r, i) for i in sorted(want - certified)]}",
+            f"{[vid for vid in want if vid in self.attestors]}",
         )
         self.round += 1
         for held in self.held:
@@ -433,7 +431,7 @@ class Simulator:
             self.next_wave += 1
             leader_author = self._coin(wave)
             leader = self.by_round.get(leader_round, {}).get(leader_author)
-            if leader is not None and leader_author in self.certified.get(leader_round, ()):
+            if leader is not None and leader.record.vid not in self.attestors:
                 children = sorted(
                     v.t for v in self.by_round.get(leader_round + 1, {}).values()
                     if leader_author in v.parents
@@ -443,18 +441,18 @@ class Simulator:
         return out
 
     def _commit(self, leader: Vertex, wave: int, commit_t: int) -> CommitRecord:
-        # causal history of the leader minus already-committed vertices
-        stack = [leader]
-        collected: dict[str, VertexRecord] = {}
-        while stack:
-            v = stack.pop()
-            vr = v.record
-            if vr.vid in self.committed_vids or vr.vid in collected:
-                continue
-            collected[vr.vid] = vr
-            stack.extend(self.by_round[vr.round - 1][a] for a in sorted(v.parents))
-        vertices = tuple(sorted(collected.values(), key=lambda vr: (vr.round, vr.author)))
-        self.committed_vids.update(collected)
+        # the leader's uncommitted causal history, one round at a time: each
+        # vertex leaves by_round as the walk reaches it
+        layers, authors, round_ = [], {leader.record.author}, leader.record.round
+        while authors:
+            store = self.by_round.get(round_, {})
+            layer = [store.pop(a) for a in sorted(authors) if a in store]
+            if not store:
+                self.by_round.pop(round_, None)
+            layers.append(layer)
+            authors = set().union(*(v.parents for v in layer))
+            round_ -= 1
+        vertices = tuple(v.record for layer in reversed(layers) for v in layer)
         r = len(self.records) + 1
         self.trace.append(
             {

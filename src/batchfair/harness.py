@@ -484,6 +484,19 @@ def _entry(where: str, entry, required: tuple, optional: tuple = ()) -> dict:
     return entry
 
 
+def _count(where: str, value) -> int:
+    """A non-negative integer field of a scenario file (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise ConfigError(f"{where} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def _list(where: str, value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def load_scenario_file(path: str | Path) -> Scenario:
     """Build a scenario from a JSON config document; malformed input raises
     ConfigError naming the bad key or entry."""
@@ -493,14 +506,16 @@ def load_scenario_file(path: str | Path) -> Scenario:
         raise ConfigError(f"a scenario file holds one JSON object, got {doc!r}")
     faults = FaultSchedule([
         FaultDirective(**_entry(f"faults[{i}]", d, ("replica", "strategy", "round")))
-        for i, d in enumerate(doc.pop("faults", []))
+        for i, d in enumerate(_list("faults", doc.pop("faults", [])))
     ])
     spikes = [
         DelaySpike(**_entry(f"spikes[{i}]", s, ("replica", "round", "extra"), ("scope",)))
-        for i, s in enumerate(doc.pop("spikes", []))
+        for i, s in enumerate(_list("spikes", doc.pop("spikes", [])))
     ]
     cspec = doc.pop("clients", None)
     name = doc.pop("name", Path(path).stem)
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a string, got {name!r}")
     cfg = SimConfig.from_dict(doc)
     # a non-object takes the uniform branch, whose check names it
     kind = cspec.get("kind", "uniform") if isinstance(cspec, dict) else "uniform"
@@ -508,16 +523,17 @@ def load_scenario_file(path: str | Path) -> Scenario:
         clients = ClientSchedule()
     elif kind == "uniform":
         _entry("clients", cspec, ("txs",), ("kind", "start_round", "end_round", "skew_p"))
-        clients = uniform_load(
-            cfg.n,
-            cspec["txs"],
-            cspec.get("start_round", 1),
-            cspec.get("end_round", max(2, cfg.max_rounds - 8)),
-            seed=cfg.seed,
-            skew_p=cspec.get("skew_p", 0.0),
-        )
+        txs = _count("clients.txs", cspec["txs"])
+        start = _count("clients.start_round", cspec.get("start_round", 1))
+        end = _count("clients.end_round", cspec.get("end_round", max(2, cfg.max_rounds - 8)))
+        if start > end:
+            raise ConfigError(f"clients.start_round {start} is past clients.end_round {end}")
+        skew_p = cspec.get("skew_p", 0.0)
+        if isinstance(skew_p, bool) or not isinstance(skew_p, (int, float)) or not 0 <= skew_p <= 1:
+            raise ConfigError(f"clients.skew_p must be a number in [0, 1], got {skew_p!r}")
+        clients = uniform_load(cfg.n, txs, start, end, seed=cfg.seed, skew_p=skew_p)
     elif kind == "items":
-        items = _entry("clients", cspec, ("kind", "items"))["items"]
+        items = _list("clients.items", _entry("clients", cspec, ("kind", "items"))["items"])
         for i, item in enumerate(items):
             if not isinstance(item, list) or len(item) != 4:
                 raise ConfigError(
@@ -525,11 +541,8 @@ def load_scenario_file(path: str | Path) -> Scenario:
                 )
             if not isinstance(item[0], str):
                 raise ConfigError(f"clients.items[{i}].body must be a string, got {item[0]!r}")
-            for name, value in zip(("replica", "round", "seq"), item[1:]):
-                if type(value) is not int or value < 0:
-                    raise ConfigError(
-                        f"clients.items[{i}].{name} must be an integer >= 0, got {value!r}"
-                    )
+            for key, value in zip(("replica", "round", "seq"), item[1:]):
+                _count(f"clients.items[{i}].{key}", value)
         clients = ClientSchedule([ClientDirective(*item) for item in items])
     else:
         raise ConfigError(f"clients.kind: unknown kind {kind!r}, expected 'uniform' or 'items'")

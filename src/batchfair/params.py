@@ -7,7 +7,7 @@ float arithmetic does not guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from math import ceil
 
@@ -147,4 +147,7 @@ class SimConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [fld.name for fld in fields(cls) if fld.default is MISSING and fld.name not in d]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         return cls(**d)

@@ -23,8 +23,9 @@ from batchfair.adversaries import (
     uniform_load,
 )
 from batchfair.dagsim import DELAY_BLOCK_WORDS, Simulator
+from batchfair.harness import execute_scenario
 from batchfair.params import ConfigError, SimConfig
-from batchfair.scenarios import build_scenario, sweep_scenario
+from batchfair.scenarios import Scenario, build_scenario, sweep_scenario
 from batchfair.types import (
     DIRECT,
     INDIRECT,
@@ -49,7 +50,7 @@ def test_genesis_round_yields_n_vertices_and_certificates():
     sim = lockstep_sim()
     sim.advance_round()
     assert sorted(sim.by_round[0]) == [0, 1, 2, 3, 4]
-    assert sim.certified[0] == {0, 1, 2, 3, 4}
+    assert not sim.attestors  # a vertex keeps attestors only until it certifies
     for author, vertex in sim.by_round[0].items():
         # genesis carries no payload
         assert vertex == Vertex(VertexRecord(author, 0, vertex_id(0, author), ()), frozenset(), 0)
@@ -107,17 +108,16 @@ def test_subdags_partition_committed_vertices():
 
 
 def test_causal_closure_parents_in_earlier_or_same_subdag():
-    sim = lockstep_sim(seed=5, max_rounds=12)
-    res = sim.run()
+    res = lockstep_sim(seed=5, max_rounds=12).run()
+    parents = {e["vid"]: e["parents"] for e in res.trace.events if e["ev"] == "vertex_created"}
     placed = {}
     for rec in res.records:
         for vr in rec.vertices:
             placed[vr.vid] = rec.r
     for rec in res.records:
         for vr in rec.vertices:
-            vertex = sim.by_round[vr.round][vr.author]
-            for parent in vertex.parents:
-                assert placed[vertex_id(vr.round - 1, parent)] <= rec.r
+            for parent in parents[vr.vid]:
+                assert placed[parent] <= rec.r
 
 
 def test_leader_commits_only_with_f_plus_one_references():
@@ -152,13 +152,19 @@ def test_leader_commits_with_parents_at_round_ten_thousand():
             a: Vertex(VertexRecord(a, rnd, vertex_id(rnd, a), ()), parents, a) for a in range(5)
         }
     leader = sim._coin(wave)
-    sim.certified[10_001] = {leader}
+    sim.attestors[vertex_id(10_001, leader)] = {leader}  # not yet certified
     sim.round, sim.next_wave = 10_003, wave
+    assert sim.try_commit() == []
+    del sim.attestors[vertex_id(10_001, leader)]
+    sim.next_wave = wave
     [record] = sim.try_commit()
     assert record.leader_vid == vertex_id(10_001, leader)
     assert [vr.vid for vr in record.vertices] == [
         *(vertex_id(10_000, a) for a in range(5)), vertex_id(10_001, leader)
     ]
+    # the committed vertices left the store, and round 10_000 with them
+    assert sorted(sim.by_round) == [10_001, 10_002]
+    assert sorted(sim.by_round[10_001]) == sorted(set(range(5)) - {leader})
 
 
 def _reachable(root) -> list:
@@ -179,12 +185,16 @@ def _reachable(root) -> list:
 def test_records_are_built_once_and_no_batch_outlives_its_proposal(name, kwargs):
     sc = build_scenario(name, **kwargs)
     sim = Simulator(sc.config, sc.faults, sc.clients, sc.spikes)
-    res = sim.run()
-    for rec in res.records:
+    proposed = {}  # (round, author) -> vertex, as by_round held it before each commit
+    while sim.round <= sim.cfg.max_rounds:
+        sim.advance_round()
+        proposed.update(((rd, a), v) for rd, vs in sim.by_round.items() for a, v in vs.items())
+        sim.try_commit()
+    for rec in sim.records:
         for vr in rec.vertices:
-            assert vr is sim.by_round[vr.round][vr.author].record
-    kinds = Counter(type(obj) for obj in _reachable(sim.by_round))
-    assert kinds[VertexRecord] == sum(map(len, sim.by_round.values()))
+            assert vr is proposed[vr.round, vr.author].record
+    kinds = Counter(type(obj) for obj in _reachable((sim.by_round, sim.records)))
+    assert kinds[VertexRecord] == len(proposed)
     assert kinds[FairUpdateVote] > 0  # the walk reaches the records' votes
     assert kinds[Batch] == kinds[Entry] == 0
 
@@ -206,16 +216,32 @@ def test_per_round_bookkeeping_stays_bounded():
         sim.advance_round()
         assert set(sim.ready_at) <= {sim.round}
         assert len(sim.attestors) <= len(sim.crash_round)
-        # by_round and certified keep every round (ROADMAP item 9), and a
-        # certificate names a proposed vertex
-        assert set(sim.by_round) == set(sim.certified) == set(range(sim.round))
-        assert all(sim.certified[rd] <= sim.by_round[rd].keys() for rd in sim.certified)
+        # by_round holds exactly the proposed vertices that no record holds,
+        # with no empty round, and attestors only proposed vertices
+        proposed = {e["vid"] for e in sim.trace.events if e["ev"] == "vertex_created"}
+        committed = {vr.vid for rec in sim.records for vr in rec.vertices}
+        stored = [v.record.vid for vs in sim.by_round.values() for v in vs.values()]
+        assert sorted(stored) == sorted(proposed - committed)
+        assert all(sim.by_round.values())
+        assert sim.attestors.keys() <= proposed
         # one heap entry per pending time, no empty time, none before now
         assert sorted(sim.times) == sorted(sim.queue)
         assert all(sim.queue.values())
         assert all(t >= sim.now for t in sim.times)
         sim.try_commit()
     assert sim.records and sim.round == sim.cfg.max_rounds + 1
+
+
+def test_uncommitted_store_does_not_grow_with_rounds():
+    # what stays uncommitted is the last two rounds and each crashed
+    # replica's uncertified last vertex, however long the run
+    def stored_after(rounds):
+        sc = build_scenario("crash_n13", txs=400)
+        sim = Simulator(replace(sc.config, max_rounds=rounds), sc.faults, sc.clients, sc.spikes)
+        sim.run()
+        return sum(map(len, sim.by_round.values()))
+
+    assert stored_after(150) <= stored_after(56)
 
 
 def test_uncommitted_wave_yields_empty_list_and_later_sweep():
@@ -278,6 +304,37 @@ def test_delay_spikes_pinned():
     assert orders_digest(res.pipeline.emitted) == (
         "0b8bf5f36e07e3464ddda41401350e320ecc22e80c8fd0316a8a90471d420319"
     )
+
+
+def test_delayed_vote_is_cast_at_the_sighting_that_completes_its_wait_set():
+    # at f=0 a vertex certifies on proposal (a quorum of one), so delaying
+    # replica 1's round-4 vertex, the only one listing u, lets subdag 3 commit
+    # u, parked against v, before replicas 0, 2, 3 and 4 have seen u
+    cfg = SimConfig(n=5, f=0, gamma=1, seed=904883, max_rounds=14)
+    sends = [("u", 1), ("v", 2)] + [("z", j) for j in range(5)]  # z is solid
+    clients = ClientSchedule([ClientDirective(b, j, 4, seq) for seq, (b, j) in enumerate(sends)])
+    sc = Scenario("delayed_vote", cfg, clients=clients, spikes=[DelaySpike(1, 4, 12, "vertex")])
+    report, res = execute_scenario(sc, serial=True)
+    assert all(report.verdicts.values()) and report.counts["parked_unresolved"] == 0
+    events = res.trace.events
+    u, v = tx_digest("u"), tx_digest("v")
+    [parked] = [i for i, e in enumerate(events) if e["ev"] == "graph_parked"]
+    assert events[parked]["r"] == 3 and events[parked]["pairs"] == [sorted([u, v])]
+    votes = {e["replica"]: i for i, e in enumerate(events) if e["ev"] == "vote_cast"}
+    assert sorted(votes) == [0, 1, 2, 3, 4]
+    assert votes[1] == parked + 1  # replica 1 listed u and votes at the FairPropose
+    for x in (0, 2, 3, 4):
+        vote = events[votes[x]]
+        sighting = events[votes[x] + 1]
+        assert votes[x] > parked and vote["target_r"] == 3
+        assert (sighting["ev"], sighting["replica"], sighting["tx"]) == ("tx_received", x, u)
+        lois = {e["tx"]: e["loi"] for e in events[:votes[x] + 2]
+                if e["ev"] == "tx_received" and e["replica"] == x}
+        [[a, b]] = vote["edges"]
+        assert lois[a] < lois[b]  # the edge points from the lower LOI
+        batch = next(e for e in events[votes[x]:]
+                     if e["ev"] == "vertex_created" and e["replica"] == x)
+        assert batch["votes"] == [{"author": x, "r": 3, "edges": vote["edges"]}]
 
 
 def test_delay_spike_replica_outside_the_replicas_is_config_error():

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from batchfair.adversaries import SPIKE_SCOPES, STRATEGIES
 from batchfair.cli import main as cli_main
 from batchfair.harness import (
     execute_scenario,
@@ -101,6 +103,7 @@ def load_doc(tmp_path, **keys):
 def test_explicit_client_items_load(tmp_path):
     items = [["tx-a", 0, 1, 0], ["tx-b", 1, 2, 1]]
     scenario = load_doc(tmp_path, clients={"kind": "items", "items": items})
+    assert scenario.name == "doc"  # the file's stem, not a field of the items
     assert [(c.body, c.replica, c.round, c.seq) for c in scenario.clients.directives] == [
         ("tx-a", 0, 1, 0), ("tx-b", 1, 2, 1)
     ]
@@ -182,6 +185,35 @@ def test_malformed_directive_run_is_config_error(tmp_path, doc, match):
         run_scenario(str(path), serial=True, outdir=tmp_path / "out")
 
 
+@pytest.mark.parametrize("doc,match", [
+    ({"clients": {"txs": "10"}}, "clients.txs must be an integer >= 0, got '10'"),
+    ({"clients": {"txs": 2.5}}, "clients.txs must be an integer >= 0, got 2.5"),
+    ({"clients": {"txs": -5}}, "clients.txs must be an integer >= 0, got -5"),
+    ({"clients": {"txs": 10, "start_round": "1"}}, "clients.start_round must be an integer"),
+    ({"clients": {"txs": 10, "start_round": 5, "end_round": 2}},
+     "clients.start_round 5 is past clients.end_round 2"),
+    ({"clients": {"txs": 10, "skew_p": "x"}}, r"clients.skew_p must be a number in \[0, 1\]"),
+    ({"clients": {"txs": 10, "skew_p": 7}}, r"clients.skew_p must be a number in \[0, 1\], got 7"),
+    ({"clients": {"txs": 10, "skew_p": True}}, r"clients.skew_p must be a number"),
+    ({"clients": {"kind": "items", "items": 5}}, "clients.items must be a list, got 5"),
+    ({"faults": 5}, "faults must be a list, got 5"),
+    ({"faults": None}, "faults must be a list, got None"),
+    ({"spikes": 7}, "spikes must be a list, got 7"),
+    ({"name": 5}, "name must be a string, got 5"),
+], ids=["txs-str", "txs-float", "txs-negative", "start-str", "start-past-end", "skew-str",
+        "skew-7", "skew-bool", "items-int", "faults-int", "faults-null", "spikes-int", "name-int"])
+def test_malformed_scenario_section_is_config_error(tmp_path, doc, match):
+    with pytest.raises(ConfigError, match=match):
+        load_doc(tmp_path, **doc)
+
+
+def test_missing_replica_count_is_config_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"f": 1, "max_rounds": 12}))
+    with pytest.raises(ConfigError, match=r"missing config keys: \['n'\]"):
+        load_scenario_file(path)
+
+
 def test_json_batch_wire_is_config_error(tmp_path):
     assert load_doc(tmp_path, batch_wire="binary").config.batch_wire == "binary"
     with pytest.raises(ConfigError, match="unknown batch wire format 'json'"):
@@ -204,6 +236,96 @@ def test_json_batch_wire_is_config_error(tmp_path):
 def test_malformed_config_field_is_config_error(tmp_path, key, value):
     with pytest.raises(ConfigError, match=key):
         load_doc(tmp_path, **{key: value})
+
+
+# -- generated scenario files: every document fails loudly or runs ---------------------
+
+# (n, f, gamma) cells that pass check_thresholds; a large n would pass too,
+# so none is ever drawn
+CELLS = [(1, 0, "1"), (4, 0, "1"), (5, 1, "1"), (5, 0, "4/5"), (7, 1, "4/5"), (9, 2, "1")]
+# integers stay small, so a junk n or max_rounds never makes a large run
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(-2, 12), st.just(float("nan")),
+    st.text("0123456789x/.", max_size=3), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["replica", "round", "txs"]), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def scenario_docs(draw):
+    """A scenario document from the schema load_scenario_file reads, with up
+    to two mutations: a value of the wrong type or range, a dropped key, or
+    an unknown key, at the top level or inside faults, spikes and clients."""
+    n, f, gamma = draw(st.sampled_from(CELLS))
+    rounds = draw(st.integers(1, 16))
+    doc = {"n": n, "f": f, "gamma": gamma, "max_rounds": rounds}
+    optional = {
+        "name": st.text(max_size=4), "seed": st.integers(0, 50), "wave_len": st.integers(2, 4),
+        "delivery_model": st.sampled_from(["uniform", "lockstep"]),
+        "delay_min": st.integers(0, 2), "delay_max": st.integers(2, 8),
+        "self_reference": st.booleans(), "batch_wire": st.sampled_from(["", "binary"]),
+        "task_slots": st.integers(1, 4),
+        "faults": st.lists(st.fixed_dictionaries({
+            "replica": st.integers(0, n - 1), "strategy": st.sampled_from(STRATEGIES),
+            "round": st.integers(0, rounds + 1)}), max_size=f, unique_by=lambda d: d["replica"]),
+        "spikes": st.lists(st.fixed_dictionaries(
+            {"replica": st.integers(0, n - 1), "round": st.integers(0, rounds),
+             "extra": st.integers(0, 30)},
+            optional={"scope": st.sampled_from(SPIKE_SCOPES)}), max_size=2),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, rounds))
+        doc["clients"] = draw(st.fixed_dictionaries({"txs": st.integers(1, 40)}, optional={
+            "kind": st.just("uniform"), "start_round": st.just(start),
+            "end_round": st.integers(start, rounds), "skew_p": st.floats(0, 1)}))
+    else:
+        # (body, replica, round), sent in round order so rounds never fall per replica
+        sends = draw(st.lists(st.tuples(
+            st.integers(0, 20), st.integers(0, n - 1), st.integers(0, rounds)), max_size=12))
+        doc["clients"] = {"kind": "items", "items": [
+            [f"tx-{b}", replica, rd, seq]
+            for seq, (b, replica, rd) in enumerate(sorted(sends, key=lambda s: s[2]))]}
+    for _ in range(draw(st.integers(0, 2))):
+        # (container, key) of every value in the document; max_rounds stays,
+        # since its default of 40 rounds is no small run
+        slots = [(doc, k) for k in doc]
+        for key in ("faults", "spikes"):
+            if isinstance(doc.get(key), list):
+                slots += [(d, k) for d in doc[key] if isinstance(d, dict) for k in d]
+        clients = doc.get("clients")
+        if isinstance(clients, dict):
+            slots += [(clients, k) for k in clients]
+            if isinstance(clients.get("items"), list):
+                slots += [(it, i) for it in clients["items"] if isinstance(it, list)
+                          for i in range(len(it))]
+        container, key = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(["junk", "drop", "extra"]))
+        if op == "junk":
+            container[key] = draw(JUNK)
+        elif isinstance(container, dict) and op == "drop" and key != "max_rounds":
+            del container[key]
+        elif isinstance(container, dict):
+            container["bogus"] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(doc=scenario_docs())
+def test_generated_scenario_files_fail_loudly_or_run(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "generated.json"
+    path.write_text(json.dumps(doc))
+    try:
+        scenario = load_scenario_file(path)
+        report, res = execute_scenario(scenario, serial=True)
+    except ConfigError:
+        return
+    assert len(report.verdicts) == 5
+    assert all(isinstance(v, bool) for v in report.verdicts.values())
+    assert all(e["t"] >= 0 for e in res.trace.events)
+    assert all(0 <= d.replica < scenario.config.n for d in scenario.faults.directives)
 
 
 def test_sweep_marks_infeasible_cells_skipped(tmp_path):

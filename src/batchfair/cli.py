@@ -1,4 +1,4 @@
-"""Command-line harness: run scenarios, sweeps, and phase profiles."""
+"""Command-line harness: run scenarios, sweeps, phase profiles and trace checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .harness import phase_profile, run_scenario, sweep
+from .harness import phase_profile, report_from_trace, run_scenario, sweep
 from .scenarios import scenario_names
 from .trace import RunTrace
 
@@ -39,6 +39,18 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
     p.add_argument("trace", help="trace.jsonl produced by run")
 
 
+def _add_check(sub: argparse._SubParsersAction) -> None:
+    p = sub.add_parser("check", help="re-run every oracle verdict from a stored trace")
+    p.add_argument("trace", help="trace.jsonl produced by run")
+
+
+def _print_verdicts(verdicts: dict[str, bool]) -> bool:
+    """Print one line per verdict; whether all of them pass."""
+    for name, verdict in verdicts.items():
+        print(f"  {name:24s} {'pass' if verdict else 'FAIL'}")
+    return all(verdicts.values())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="batchfair",
@@ -48,6 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_run(sub)
     _add_sweep(sub)
     _add_profile(sub)
+    _add_check(sub)
     sub.add_parser("scenarios", help="list shipped scenarios")
     args = parser.parse_args(argv)
 
@@ -76,9 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{rep.scenario}{tag}] mode={rep.mode} "
                   f"emitted={rep.counts['txs_emitted']}/{rep.counts['txs_injected']} "
                   f"digest={rep.emitted_digest[:16]}")
-            for name, verdict in rep.verdicts.items():
-                print(f"  {name:24s} {'pass' if verdict else 'FAIL'}")
-                ok &= verdict
+            ok &= _print_verdicts(rep.verdicts)
             for mode, m in rep.model_results.items():
                 print(f"  model[{mode}]: {json.dumps(m, default=str)[:200]}")
         return 0 if ok else 1
@@ -103,6 +114,11 @@ def main(argv: list[str] | None = None) -> int:
         for phase, row in stats.items():
             print(f"{phase:12s} " + " ".join(f"{row[c] / 1e6:10.3f}" for c in columns))
         return 0
+
+    if args.command == "check":
+        checked = report_from_trace(RunTrace.read_jsonl(args.trace))
+        print(f"[{args.trace}] digest={checked['emitted_digest']}")
+        return 0 if _print_verdicts(checked["verdicts"]) else 1
 
     return 0
 

@@ -23,13 +23,15 @@ so drawing ahead changes nothing. A message to oneself and lockstep
 delivery draw nothing.
 
 Each vertex is built once, at proposal: its commit-stream record (the
-batch's (digest, LOI) entries and votes), its parents and its proposal time.
-The sealed batch is dropped there, and a commit hands the fairness layer the
-very records ``by_round`` held. The stores that hold a vertex are its status:
-``by_round`` holds the uncommitted vertices and ``attestors`` the uncertified
-ones, so a commit takes its vertices out of ``by_round`` and a certificate
-pops its vertex's attestors. A certificate message carries (round, author,
-receiver).
+batch's (kind, digest, LOI) entries and votes), its parents and its proposal
+time. The sealed batch is dropped there, and a commit hands the fairness
+layer the very records ``by_round`` held. The trace refers to those values
+instead of copying them: a vertex_created event holds its record's entries
+tuple and its votes' edges, and a vote_cast event its vote's edges. The
+stores that hold a vertex are its status: ``by_round`` holds the uncommitted
+vertices and ``attestors`` the uncertified ones, so a commit takes its
+vertices out of ``by_round`` and a certificate pops its vertex's attestors.
+A certificate message carries (round, author, receiver).
 
 The hot paths do only the work that changes state. A receiver of a vertex
 walks its record's entries in order and observes only the digests missing
@@ -50,7 +52,6 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, islice, repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -63,7 +64,6 @@ from .worker import WorkerState, decode_batch, encode_batch
 
 DELAY_BLOCK_WORDS = 4096  # MT19937 words per block of network delays
 FOREVER = 1 << 62  # the simulated time a replica that never crashes lives to
-_digest_loi = attrgetter("digest", "loi")
 
 
 @dataclass
@@ -209,7 +209,7 @@ class Simulator:
                 "t": self.now,
                 "replica": replica,
                 "target_r": vote.target_r,
-                "edges": [list(e) for e in vote.edges],
+                "edges": vote.edges,
             }
         )
 
@@ -234,7 +234,6 @@ class Simulator:
         vid = vertex_id(round_, replica)
         if round_ == 0:
             vertex = Vertex(VertexRecord(replica, 0, vid, ()), frozenset(), t)
-            entries = []
         else:
             batch = self.workers[replica].build_batch()
             if cfg.batch_wire:
@@ -243,11 +242,9 @@ class Simulator:
             assert len(held) >= cfg.quorum, "proposed without a quorum of parents"
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
-            record = VertexRecord(
-                replica, round_, vid, tuple(map(_digest_loi, batch.entries)), batch.votes
-            )
+            entries = tuple([(e.kind, e.digest, e.loi) for e in batch.entries])
+            record = VertexRecord(replica, round_, vid, entries, batch.votes)
             vertex = Vertex(record, frozenset(held), t)
-            entries = [[e.kind, e.digest, e.loi] for e in batch.entries]
         self.by_round.setdefault(round_, {})[replica] = vertex
         self.trace.append(
             {
@@ -257,9 +254,9 @@ class Simulator:
                 "round": round_,
                 "vid": vid,
                 "parents": sorted(vertex_id(round_ - 1, a) for a in vertex.parents),
-                "entries": entries,
+                "entries": vertex.record.entries,
                 "votes": [
-                    {"author": v.author, "r": v.target_r, "edges": [list(e) for e in v.edges]}
+                    {"author": v.author, "r": v.target_r, "edges": v.edges}
                     for v in vertex.record.votes
                 ],
             }
@@ -312,7 +309,7 @@ class Simulator:
         worker = self.workers[receiver]
         lois = worker.lois
         record = vertex.record
-        for digest, _ in record.entries:
+        for _kind, digest, _loi in record.entries:
             if digest not in lois:  # read per digest: one listed twice gets one LOI
                 loi, _ = worker.observe_remote(digest)
                 self.trace.append(

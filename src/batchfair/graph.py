@@ -107,7 +107,7 @@ class CumulativeState:
     def _ingest(self, record: CommitRecord) -> None:
         for vr in record.vertices:
             plist = self.pending.setdefault(vr.author, {})
-            for digest, _loi in vr.entries:
+            for _kind, digest, _loi in vr.entries:
                 if digest not in self.proposed:
                     plist.setdefault(digest)
 

@@ -527,7 +527,11 @@ def load_scenario_file(path: str | Path) -> Scenario:
         start = _count("clients.start_round", cspec.get("start_round", 1))
         end = _count("clients.end_round", cspec.get("end_round", max(2, cfg.max_rounds - 8)))
         if start > end:
-            raise ConfigError(f"clients.start_round {start} is past clients.end_round {end}")
+            past = f"clients.end_round {end}" if "end_round" in cspec else (
+                f"the default clients.end_round {end}, which is max(2, max_rounds - 8) "
+                f"with max_rounds {cfg.max_rounds}"
+            )
+            raise ConfigError(f"clients.start_round {start} is past {past}")
         skew_p = cspec.get("skew_p", 0.0)
         if isinstance(skew_p, bool) or not isinstance(skew_p, (int, float)) or not 0 <= skew_p <= 1:
             raise ConfigError(f"clients.skew_p must be a number in [0, 1], got {skew_p!r}")

@@ -207,7 +207,7 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
         for vr in rec.vertices:
             lst = pending.setdefault(vr.author, [])
             s = seen.setdefault(vr.author, set())
-            for digest, _loi in vr.entries:
+            for _kind, digest, _loi in vr.entries:
                 if digest in proposed or digest in s:
                     continue
                 s.add(digest)

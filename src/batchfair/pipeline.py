@@ -24,7 +24,9 @@ simulator writes the events, stamps the orders' emit times and hands the
 FairPropose to its workers; the replay drivers drop it. In a landing that
 parks, ``graph_parked`` is the last event: a park makes nothing ready, so
 the Emit drain after it finds nothing, and the votes the FairPropose
-releases at once follow every event of the landing.
+releases at once follow every event of the landing. An event holds the
+pipeline's own values, not copies: ``order_emitted`` the order's digests and
+batches, ``graph_profile`` the very dict ``PipelineResult.profiles`` keeps.
 
 Both modes land the same records in the same order, so they produce
 bit-identical emitted orders; only wall-clock differs. The parallel work runs
@@ -68,7 +70,7 @@ class Landing:
 
     events: list[dict] = field(default_factory=list)  # trace events, in order
     emitted: list[FinalOrder] = field(default_factory=list)
-    fair_propose: tuple[int, set] | None = None  # (r, missing) of the parked graph
+    fair_propose: tuple[int, list] | None = None  # (r, missing) of the parked graph
 
 
 def _weights_task(m: int, orders: dict[int, list[int]]) -> tuple:
@@ -95,7 +97,7 @@ class FairnessPipeline:
             landing.emitted.append(order)
             landing.events.append(
                 {"ev": "order_emitted", "t": now, "replica": None, "r": order.r,
-                 "digests": list(order.digests), "batches": [list(b) for b in order.batches]}
+                 "digests": order.digests, "batches": order.batches}
             )
 
     def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
@@ -126,26 +128,23 @@ class FairnessPipeline:
         landing.events.append(
             {"ev": "graph_built", "t": now, "replica": None, "r": r, "v": len(snap.admitted),
              "m": 0 if parked is None else len(parked.missing), "anchor": anchor,
-             "k": len(k_digests), "k_digests": list(k_digests)}
+             "k": len(k_digests), "k_digests": tuple(k_digests)}
         )
         profile = {
-            "r": r,
-            "extract_ns": extract_ns,
-            "weights_ns": weights_ns,
-            "build_ns": t1 - t0,
-            "scc_ns": t2 - t1,
-            "result_ns": t3 - t2,
+            "ev": "graph_profile", "t": now, "replica": None, "r": r,
+            "extract_ns": extract_ns, "weights_ns": weights_ns,
+            "build_ns": t1 - t0, "scc_ns": t2 - t1, "result_ns": t3 - t2,
         }
         self.profiles.append(profile)
-        landing.events.append({"ev": "graph_profile", "t": now, "replica": None, **profile})
+        landing.events.append(profile)
         if parked is None:
             mark_ready(self.store, outcome)
         else:
             landing.events.append(
                 {"ev": "graph_parked", "t": now, "replica": None, "r": r,
-                 "pairs": [list(p) for p in parked.missing]}
+                 "pairs": tuple(parked.missing)}
             )
-            landing.fair_propose = (r, set(parked.missing))
+            landing.fair_propose = (r, parked.missing)
             park(self.store, parked)
         self._drain_emit(landing, now)
         return landing

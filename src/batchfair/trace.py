@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,14 +102,19 @@ class RunTrace:
                 yield e, [verts[vid] for vid in e["vertices"]]
 
     def commit_records(self) -> list[CommitRecord]:
-        """Reassemble the committed-subdag stream the fairness layer consumed."""
+        """Reassemble the committed-subdag stream the fairness layer consumed.
+
+        Entries are (kind, digest, loi) tuples and vote edges (from, to)
+        tuples. A trace built in memory already holds them as tuples, which
+        are shared; one read back from JSON holds lists, which become tuples,
+        so both give equal records."""
         records: list[CommitRecord] = []
         for e, vertices in self._committed():
             vrs = []
             for ve in vertices:
-                entries = tuple((d, loi) for _k, d, loi in ve["entries"])
+                entries = tuple(map(tuple, ve["entries"]))
                 votes = tuple(
-                    FairUpdateVote(v["author"], v["r"], tuple(tuple(x) for x in v["edges"]))
+                    FairUpdateVote(v["author"], v["r"], tuple(map(tuple, v["edges"])))
                     for v in ve["votes"]
                 )
                 vrs.append(VertexRecord(ve["replica"], ve["round"], ve["vid"], entries, votes))
@@ -117,17 +122,10 @@ class RunTrace:
         return records
 
     def emitted_orders(self) -> list[FinalOrder]:
-        out = []
-        for e in self.events:
-            if e["ev"] == "order_emitted":
-                out.append(
-                    FinalOrder(
-                        e["r"],
-                        tuple(e["digests"]),
-                        tuple((b[0], b[1]) for b in e["batches"]),
-                    )
-                )
-        return out
+        return [
+            FinalOrder(e["r"], tuple(e["digests"]), tuple(map(tuple, e["batches"])))
+            for e in self.events if e["ev"] == "order_emitted"
+        ]
 
     def committed_lois(self) -> dict[int, tuple[list[str], list[int]]]:
         """Per replica, the digests and LOIs of its committed vertices'
@@ -143,7 +141,7 @@ class RunTrace:
                     lois.append(loi)
         return out
 
-    def retained_sets(self) -> list[tuple[int, list[str]]]:
+    def retained_sets(self) -> list[tuple[int, Sequence[str]]]:
         """(r, K_r digests) from graph_built events."""
         return [
             (e["r"], e["k_digests"]) for e in self.events if e["ev"] == "graph_built"

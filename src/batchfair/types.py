@@ -82,7 +82,7 @@ class VertexRecord:
     author: int
     round: int
     vid: str
-    entries: tuple[tuple[str, int], ...]  # (digest, loi) in reported order
+    entries: tuple[tuple[str, str, int], ...]  # (kind, digest, loi) in reported order
     votes: tuple[FairUpdateVote, ...] = ()
 
 

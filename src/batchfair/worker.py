@@ -15,6 +15,7 @@ empties the set. Batches cross the wire in one length-prefixed binary format.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from .types import Batch, DIRECT, Entry, FairUpdateVote, INDIRECT
 
 
@@ -71,7 +72,7 @@ class WorkerState:
 
     # -- Algorithm 1: FairUpdate voting -----------------------------------
 
-    def on_fair_propose(self, r: int, missing: set[tuple[str, str]]) -> None:
+    def on_fair_propose(self, r: int, missing: Iterable[tuple[str, str]]) -> None:
         """Resolve a parked subdag's missing pairs against the LOI table."""
         if r in self.proposed:
             raise ValueError(f"duplicate FairPropose for subdag {r}")

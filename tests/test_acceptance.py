@@ -227,7 +227,7 @@ def test_criterion_7_condorcet_cycle_single_batch():
     snap_orders = {}
     for rec in res.records:
         for vr in rec.vertices:
-            for dg, _ in vr.entries:
+            for _kind, dg, _loi in vr.entries:
                 snap_orders.setdefault(vr.author, []).append(dg)
     tau_i = count_threshold(edge_threshold(3, 0, Fraction(2, 3)))
     report = phase1_weights(classify(1, snap_orders, tau_i, solid_threshold(3, 0)))

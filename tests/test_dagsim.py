@@ -319,7 +319,7 @@ def test_delayed_vote_is_cast_at_the_sighting_that_completes_its_wait_set():
     events = res.trace.events
     u, v = tx_digest("u"), tx_digest("v")
     [parked] = [i for i, e in enumerate(events) if e["ev"] == "graph_parked"]
-    assert events[parked]["r"] == 3 and events[parked]["pairs"] == [sorted([u, v])]
+    assert events[parked]["r"] == 3 and events[parked]["pairs"] == (tuple(sorted([u, v])),)
     votes = {e["replica"]: i for i, e in enumerate(events) if e["ev"] == "vote_cast"}
     assert sorted(votes) == [0, 1, 2, 3, 4]
     assert votes[1] == parked + 1  # replica 1 listed u and votes at the FairPropose
@@ -448,7 +448,7 @@ def test_digest_listed_twice_in_a_batch_gets_one_loi():
     tx = tx_digest("twice")
     sim.workers[0].entry_queue = [Entry(DIRECT, tx, 0, "twice"), Entry(INDIRECT, tx, 0)]
     sim.advance_round()
-    assert sim.by_round[1][0].record.entries == ((tx, 0), (tx, 0))
+    assert sim.by_round[1][0].record.entries == ((DIRECT, tx, 0), (INDIRECT, tx, 0))
     assert _receipts(sim) == [(j, tx, 0) for j in range(1, 5)]
     assert all(sim.workers[j].lois == {tx: 0} for j in range(1, 5))
 
@@ -463,7 +463,7 @@ def test_batch_of_known_digests_adds_no_receipt():
     receipts = _receipts(sim)
     lois = [dict(w.lois) for w in sim.workers]
     sim.advance_round()
-    assert [v.record.entries for v in sim.by_round[1].values()] == [((tx, 0),)] * 5
+    assert [v.record.entries for v in sim.by_round[1].values()] == [((DIRECT, tx, 0),)] * 5
     assert _receipts(sim) == receipts
     assert [w.lois for w in sim.workers] == lois
 

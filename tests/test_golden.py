@@ -15,6 +15,7 @@ import pytest
 from batchfair.dagsim import Simulator
 from batchfair.harness import execute_scenario
 from batchfair.scenarios import build_scenario
+from batchfair.trace import RunTrace
 
 # (scenario, variant) -> (emitted_digest, report_hash, trace_digest)
 GOLDEN = {
@@ -121,8 +122,15 @@ def test_shipped_scenario_matches_golden_digests(name, variant, serial, pool):
     "name,variant",
     [pytest.param(name, variant, id=f"{name}-{dict(variant)}") for name, variant in sorted(GOLDEN)],
 )
-def test_trace_holds_the_commit_stream(name, variant):
-    # report_from_trace rebuilds the commit stream from the trace alone
+def test_trace_holds_the_commit_stream(name, variant, tmp_path):
+    # report_from_trace rebuilds the commit stream from the trace alone, both
+    # in memory, where entries and edges are tuples, and read back from JSON,
+    # where they are lists
     sc = build_scenario(name, **dict(variant))
     res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
     assert res.trace.commit_records() == res.records
+    res.trace.write_jsonl(tmp_path / "trace.jsonl")
+    back = RunTrace.read_jsonl(tmp_path / "trace.jsonl")
+    assert back.commit_records() == res.records
+    assert back.emitted_orders() == res.pipeline.emitted
+    assert trace_digest(back) == GOLDEN[name, variant][2]

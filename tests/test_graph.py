@@ -25,7 +25,7 @@ from batchfair.graph import (
 )
 from batchfair.params import edge_threshold, solid_threshold
 from batchfair.scenarios import build_scenario
-from batchfair.types import CommitRecord, FinalOrder, VertexRecord, tx_digest
+from batchfair.types import DIRECT, CommitRecord, FinalOrder, VertexRecord, tx_digest
 from reference import reachability_scc
 
 
@@ -492,7 +492,7 @@ def test_phase4_parks_with_missing():
 def _record(r, contributions: dict[int, list[str]]) -> CommitRecord:
     vrs = []
     for author in sorted(contributions):
-        entries = tuple((dg, i) for i, dg in enumerate(contributions[author]))
+        entries = tuple((DIRECT, dg, i) for i, dg in enumerate(contributions[author]))
         vrs.append(VertexRecord(author, r, f"r{r:04d}a{author:03d}", entries))
     return CommitRecord(r, f"r{r:04d}a000", tuple(vrs))
 

@@ -192,6 +192,11 @@ def test_malformed_directive_run_is_config_error(tmp_path, doc, match):
     ({"clients": {"txs": 10, "start_round": "1"}}, "clients.start_round must be an integer"),
     ({"clients": {"txs": 10, "start_round": 5, "end_round": 2}},
      "clients.start_round 5 is past clients.end_round 2"),
+    ({"clients": {"txs": 10, "start_round": 5, "end_round": 4}},
+     "^clients.start_round 5 is past clients.end_round 4$"),
+    ({"clients": {"txs": 10, "start_round": 5}},
+     r"^clients.start_round 5 is past the default clients.end_round 4, "
+     r"which is max\(2, max_rounds - 8\) with max_rounds 12$"),
     ({"clients": {"txs": 10, "skew_p": "x"}}, r"clients.skew_p must be a number in \[0, 1\]"),
     ({"clients": {"txs": 10, "skew_p": 7}}, r"clients.skew_p must be a number in \[0, 1\], got 7"),
     ({"clients": {"txs": 10, "skew_p": True}}, r"clients.skew_p must be a number"),
@@ -200,8 +205,8 @@ def test_malformed_directive_run_is_config_error(tmp_path, doc, match):
     ({"faults": None}, "faults must be a list, got None"),
     ({"spikes": 7}, "spikes must be a list, got 7"),
     ({"name": 5}, "name must be a string, got 5"),
-], ids=["txs-str", "txs-float", "txs-negative", "start-str", "start-past-end", "skew-str",
-        "skew-7", "skew-bool", "items-int", "faults-int", "faults-null", "spikes-int", "name-int"])
+], ids=["txs-str", "txs-float", "txs-negative", "start-str", "start-past-end",
+        "start-past-set-end", "start-past-default-end", "skew-str", "skew-7", "skew-bool", "items-int", "faults-int", "faults-null", "spikes-int", "name-int"])
 def test_malformed_scenario_section_is_config_error(tmp_path, doc, match):
     with pytest.raises(ConfigError, match=match):
         load_doc(tmp_path, **doc)
@@ -447,6 +452,21 @@ def test_cli_profile(tmp_path, capsys):
     assert [row.split()[0] for row in rows] == [
         "extract_ns", "weights_ns", "build_ns", "scc_ns", "result_ns"]
     assert all(len(row.split()) == 5 for row in rows)
+
+
+def test_cli_check_reruns_the_verdicts_of_a_stored_trace(tmp_path, capsys):
+    assert cli_main(["run", "--scenario", "wire_binary", "--out", str(tmp_path)]) == 0
+    digest = json.loads((tmp_path / "report.json").read_text())[0]["emitted_digest"]
+    capsys.readouterr()
+    assert cli_main(["check", str(tmp_path / "trace.jsonl")]) == 0
+    out = capsys.readouterr().out
+    assert f"digest={digest}" in out and "FAIL" not in out
+    # a trace that lost its last emitted order no longer matches its commit stream
+    lines = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if json.loads(line)["ev"] == "order_emitted")
+    (tmp_path / "cut.jsonl").write_text("".join(lines[:last] + lines[last + 1:]))
+    assert cli_main(["check", str(tmp_path / "cut.jsonl")]) == 1
+    assert "serial_equivalence       FAIL" in capsys.readouterr().out
 
 
 def test_cli_run_baseline_scenario_reports_model(capsys):

@@ -27,7 +27,9 @@ from batchfair.oracle import (
 )
 from batchfair.params import SimConfig
 from batchfair.trace import RunTrace
-from batchfair.types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest
+from batchfair.types import (
+    DIRECT, CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest,
+)
 from reference import reachability_scc
 
 
@@ -406,7 +408,7 @@ def brute_force_evidence(records, n, f, gamma, graphed_in, stopped_at):
     for rec in records:
         for vr in rec.vertices:
             s = seen.setdefault(vr.author, set())
-            for digest, _loi in vr.entries:
+            for _kind, digest, _loi in vr.entries:
                 if digest not in proposed and digest not in s:
                     s.add(digest)
                     pending.setdefault(vr.author, []).append(digest)
@@ -472,7 +474,7 @@ def random_records(rng, n, subdags, names):
             votes = (FairUpdateVote(author, r - 1, tuple(edges)),) if r > 1 else ()
             vertices.append(VertexRecord(
                 author, r, f"r{r:04d}a{author:03d}",
-                tuple((dg, k) for k, dg in enumerate(picked)), votes,
+                tuple((DIRECT, dg, k) for k, dg in enumerate(picked)), votes,
             ))
         records.append(CommitRecord(r, vertices[0].vid, tuple(vertices)))
     return records

@@ -161,12 +161,36 @@ def test_landings_carry_the_in_loop_pipeline_events():
             # parking ends the landing, so the votes it releases come after
             assert landing.events[-1] is parked[0]
             r, missing = landing.fair_propose
-            assert r == rec.r and missing == {tuple(p) for p in parked[0]["pairs"]}
+            assert r == rec.r and missing == list(parked[0]["pairs"])
             proposed += 1
         emitted += landing.emitted
         emit_time.update((o.r, events[i]["t"]) for o in landing.emitted)
     assert proposed, "scenario must park a graph"
     assert emitted == res.pipeline.emitted and emit_time == res.emit_time
+
+
+def test_trace_events_hold_the_runs_own_values():
+    # an event refers to the run's value instead of holding a copy of it
+    res, cfg = simulate(seed=42, skew=0.3)
+    events = res.trace.events
+    created = {e["vid"]: e for e in events if e["ev"] == "vertex_created"}
+    for rec in res.records:
+        for vr in rec.vertices:
+            assert created[vr.vid]["entries"] is vr.entries
+    edges = [e["edges"] for e in events if e["ev"] == "vote_cast"]
+    edges += [v["edges"] for e in created.values() for v in e["votes"]]
+    assert edges and all(type(es) is tuple for es in edges)
+    assert all(type(edge) is tuple for es in edges for edge in es)
+    emitted = [e for e in events if e["ev"] == "order_emitted"]
+    for e, order in zip(emitted, res.pipeline.emitted, strict=True):
+        assert e["digests"] is order.digests and e["batches"] is order.batches
+    built = [e for e in events if e["ev"] == "graph_built"]
+    parked = [e for e in events if e["ev"] == "graph_parked"]
+    assert parked and all(type(e["k_digests"]) is tuple for e in built)
+    assert all(type(e["pairs"]) is tuple for e in parked)
+    profiles = [e for e in events if e["ev"] == "graph_profile"]
+    assert len(profiles) == len(res.pipeline.profiles)
+    assert all(e is p for e, p in zip(profiles, res.pipeline.profiles))
 
 
 def test_support_classified_once_per_subdag(monkeypatch):

@@ -20,7 +20,7 @@ from batchfair.graph import (
 )
 from batchfair.oracle import serial_reference
 from batchfair.pipeline import FairnessPipeline
-from batchfair.types import CommitRecord, VertexRecord, tx_digest
+from batchfair.types import DIRECT, CommitRecord, VertexRecord, tx_digest
 
 N, F = 5, 1
 GAMMA = Fraction(1)
@@ -57,7 +57,7 @@ def record_streams(draw):
             seq = arrivals[author]
             bounds = [0, *cuts[author], len(seq)]
             chunk = seq[bounds[r - 1] : bounds[r]]
-            entries = tuple((dg, bounds[r - 1] + k) for k, dg in enumerate(chunk))
+            entries = tuple((DIRECT, dg, bounds[r - 1] + k) for k, dg in enumerate(chunk))
             if entries:
                 vrs.append(VertexRecord(author, r, f"r{r:04d}a{author:03d}", entries))
         records.append(CommitRecord(r, f"r{r:04d}a000", tuple(vrs)))
@@ -129,9 +129,9 @@ def test_byzantine_double_listing_deduped():
         1,
         "r0001a000",
         (
-            VertexRecord(0, 1, "r0001a000", ((dg, 0), (dg, 5))),
-            VertexRecord(1, 1, "r0001a001", ((dg, 0),)),
-            VertexRecord(2, 1, "r0001a002", ((dg, 0),)),
+            VertexRecord(0, 1, "r0001a000", ((DIRECT, dg, 0), (DIRECT, dg, 5))),
+            VertexRecord(1, 1, "r0001a001", ((DIRECT, dg, 0),)),
+            VertexRecord(2, 1, "r0001a002", ((DIRECT, dg, 0),)),
         ),
     )
     state = CumulativeState(N, F, GAMMA)

@@ -7,13 +7,15 @@ import json
 import sys
 
 from .harness import phase_profile, report_from_trace, run_scenario, sweep
+from .params import ConfigError
 from .scenarios import scenario_names
 from .trace import RunTrace
 
 
 def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run one scenario or JSON config")
-    p.add_argument("--scenario", help=f"one of: {', '.join(scenario_names())}")
+    p.add_argument("--scenario", choices=scenario_names(), metavar="NAME",
+                   help=f"one of: {', '.join(scenario_names())}")
     p.add_argument("--config", help="path to a scenario JSON document")
     p.add_argument("--serial", action="store_true",
                    help="replay serially for verification (the in-loop layer is always serial)")
@@ -51,6 +53,14 @@ def _print_verdicts(verdicts: dict[str, bool]) -> bool:
     return all(verdicts.values())
 
 
+def _read_trace(parser: argparse.ArgumentParser, path: str) -> RunTrace:
+    """The trace at path; an unreadable or malformed file is a usage error."""
+    try:
+        return RunTrace.read_jsonl(path)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="batchfair",
@@ -63,6 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_check(sub)
     sub.add_parser("scenarios", help="list shipped scenarios")
     args = parser.parse_args(argv)
+    command = sub.choices[args.command]  # the subcommand parser, for its usage errors
 
     if args.command == "scenarios":
         for name in scenario_names():
@@ -72,17 +83,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         target = args.config or args.scenario
         if not target:
-            parser.error("run needs --scenario or --config")
+            command.error("run needs --scenario or --config")
         if args.threads is not None and args.threads < 1:
-            parser.error(f"--threads must be at least 1, got {args.threads}")
-        reports = run_scenario(
-            target,
-            serial=args.serial,
-            slots=args.threads,
-            seed=args.seed,
-            outdir=args.out,
-            trace_on=args.trace == "on",
-        )
+            command.error(f"--threads must be at least 1, got {args.threads}")
+        try:
+            reports = run_scenario(
+                target,
+                serial=args.serial,
+                slots=args.threads,
+                seed=args.seed,
+                outdir=args.out,
+                trace_on=args.trace == "on",
+            )
+        except (ConfigError, OSError) as exc:
+            command.error(str(exc))
         ok = True
         for rep in reports:
             tag = "".join(f" {k}={v}" for k, v in rep.variant.items())
@@ -105,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "profile":
-        stats = phase_profile(RunTrace.read_jsonl(args.trace))
+        stats = phase_profile(_read_trace(command, args.trace))
         if not stats:
             print("trace carries no phase profiles")
             return 0
@@ -116,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "check":
-        checked = report_from_trace(RunTrace.read_jsonl(args.trace))
+        checked = report_from_trace(_read_trace(command, args.trace))
         print(f"[{args.trace}] digest={checked['emitted_digest']}")
         return 0 if _print_verdicts(checked["verdicts"]) else 1
 

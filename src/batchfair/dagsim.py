@@ -203,7 +203,7 @@ class Simulator:
             events.append((handler, data))
 
     def _on_vote_cast(self, replica: int, vote) -> None:
-        self.trace.append(
+        self.trace.events.append(
             {
                 "ev": "vote_cast",
                 "t": self.now,
@@ -221,7 +221,7 @@ class Simulator:
         if bodies:
             self.now = t
             worker, digest_of = self.workers[replica], self.digest_of
-            injection_time, append = self.injection_time, self.trace.append
+            injection_time, append = self.injection_time, self.trace.events.append
             for body in bodies:
                 digest = digest_of.get(body)
                 if digest is None:
@@ -242,11 +242,10 @@ class Simulator:
             assert len(held) >= cfg.quorum, "proposed without a quorum of parents"
             if cfg.self_reference:
                 assert replica in held, "correct replica missing its own certificate"
-            entries = tuple([(e.kind, e.digest, e.loi) for e in batch.entries])
-            record = VertexRecord(replica, round_, vid, entries, batch.votes)
+            record = VertexRecord(replica, round_, vid, batch.entries, batch.votes)
             vertex = Vertex(record, frozenset(held), t)
         self.by_round.setdefault(round_, {})[replica] = vertex
-        self.trace.append(
+        self.trace.events.append(
             {
                 "ev": "vertex_created",
                 "t": t,
@@ -285,7 +284,7 @@ class Simulator:
         author, round_ = vr.author, vr.round
         attestors = self.attestors.pop(vr.vid)  # later attests change nothing
         self.progress = True
-        self.trace.append(
+        self.trace.events.append(
             {
                 "ev": "certificate_formed",
                 "t": t,
@@ -312,7 +311,7 @@ class Simulator:
         for _kind, digest, _loi in record.entries:
             if digest not in lois:  # read per digest: one listed twice gets one LOI
                 loi, _ = worker.observe_remote(digest)
-                self.trace.append(
+                self.trace.events.append(
                     {"ev": "tx_received", "t": t, "replica": receiver,
                      "tx": digest, "loi": loi, "src": "batch"}
                 )
@@ -451,7 +450,7 @@ class Simulator:
             round_ -= 1
         vertices = tuple(v.record for layer in reversed(layers) for v in layer)
         r = len(self.records) + 1
-        self.trace.append(
+        self.trace.events.append(
             {
                 "ev": "subdag_committed",
                 "t": commit_t,

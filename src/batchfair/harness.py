@@ -501,7 +501,10 @@ def load_scenario_file(path: str | Path) -> Scenario:
     """Build a scenario from a JSON config document; malformed input raises
     ConfigError naming the bad key or entry."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"a scenario file holds one JSON object, got {doc!r}")
     faults = FaultSchedule([

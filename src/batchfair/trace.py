@@ -28,9 +28,6 @@ class RunTrace:
     meta: dict = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
 
-    def append(self, event: dict) -> None:
-        self.events.append(event)
-
     # -- persistence -------------------------------------------------------
 
     def write_jsonl(self, path: str | Path) -> None:
@@ -41,16 +38,26 @@ class RunTrace:
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "RunTrace":
+        """Read a trace that write_jsonl wrote. A line that is not a JSON
+        object with an "ev" key raises ValueError("PATH:LINE: ..."); a file
+        with no meta line carrying the run's config raises ValueError too."""
         meta: dict = {}
         events: list[dict] = []
         with open(path) as fh:
-            for line in fh:
-                doc = json.loads(line)
-                if doc.get("ev") == "meta":
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    doc = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+                if not isinstance(doc, dict) or "ev" not in doc:
+                    raise ValueError(f'{path}:{lineno}: not a trace event (no "ev" key)')
+                if doc["ev"] == "meta":
                     doc.pop("ev")
                     meta = doc
                 else:
                     events.append(doc)
+        if "config" not in meta:
+            raise ValueError(f"{path}: no meta line carrying the run's config")
         return cls(meta, events)
 
     def deterministic_view(self) -> list[dict]:

@@ -1,7 +1,8 @@
 """Shared domain types: transactions, batches, DAG vertices, committed subdags.
 
 These are the only definitions shared between the protocol pipeline and the
-oracle checkers.
+oracle checkers. A contribution is one (kind, digest, LOI) triple, the same
+object from the worker's first sighting to the fairness layer and the trace.
 """
 
 from __future__ import annotations
@@ -22,20 +23,6 @@ INDIRECT = "i"
 
 
 @dataclass(frozen=True)
-class Entry:
-    """One ordering contribution inside a batch.
-
-    Direct entries carry the transaction body; indirect entries carry only the
-    digest of a transaction learned from a remote batch (one hop).
-    """
-
-    kind: str  # DIRECT or INDIRECT
-    digest: str
-    loi: int
-    body: str | None = None
-
-
-@dataclass(frozen=True)
 class FairUpdateVote:
     """Directed resolutions of a parked subdag's complete missing-edge set."""
 
@@ -48,13 +35,17 @@ class FairUpdateVote:
 class Batch:
     """A sealed, immutable worker batch.
 
-    ``entries`` is the author's reported contribution order. For a correct
-    author it is ascending in LOI; a Byzantine author may report any order.
+    ``entries`` are the author's (kind, digest, LOI) triples in reported
+    order, the tuple its vertex record keeps: LOI-ascending for a correct
+    author, any order for a Byzantine one. ``bodies`` holds each direct
+    entry's body, in entry order, and travels only on the wire; an indirect
+    entry (a digest learned from a remote batch, one hop) has none.
     """
 
     author: int
     seq: int
-    entries: tuple[Entry, ...]
+    entries: tuple[tuple[str, str, int], ...]  # (kind, digest, loi)
+    bodies: tuple[str, ...] = ()
     votes: tuple[FairUpdateVote, ...] = ()
 
 

@@ -4,6 +4,9 @@ The worker stamps every transaction with a local ordering indicator (LOI) on
 first observation, no matter how it arrived, assembles sealed batches of
 direct entries, one-hop indirect entries, and queued votes, and resolves
 missing-edge proposals from the fairness processor against its LOI table.
+Each first sighting queues the (kind, digest, LOI) triple that the vertex
+record, the trace and the fairness layer read; a direct entry's body waits in
+``body_queue`` and travels only on the wire.
 
 ``lois`` maps each digest to its LOI in first-observation order, so a new
 digest's LOI is ``len(lois)``. ``waiting[r]`` holds a FairProposed subdag's
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable
-from .types import Batch, DIRECT, Entry, FairUpdateVote, INDIRECT
+from .types import Batch, DIRECT, FairUpdateVote, INDIRECT
 
 
 class WorkerState:
@@ -28,7 +31,8 @@ class WorkerState:
         self.lois: dict[str, int] = {}
         self.waiting: dict[int, tuple[set[str], list[tuple[str, str]]]] = {}
         self.proposed: set[int] = set()  # subdag ids already FairProposed
-        self.entry_queue: list[Entry] = []  # direct + indirect awaiting seal, LOI-ascending
+        self.entry_queue: list[tuple[str, str, int]] = []  # (kind, digest, loi), LOI-ascending
+        self.body_queue: list[str] = []  # the queued direct entries' bodies, in order
         self.vote_queue: list[FairUpdateVote] = []
         self.seq = 0
         self.vote_cb = None  # optional (replica, vote) hook for tracing
@@ -43,7 +47,8 @@ class WorkerState:
         loi = self.lois.get(digest)
         if loi is not None:
             return loi, False
-        return self._first_sighting(Entry(DIRECT, digest, len(self.lois), body))
+        self.body_queue.append(body)
+        return self._first_sighting(DIRECT, digest)
 
     def observe_remote(self, digest: str) -> tuple[int, bool]:
         """A digest arrived inside a remote worker's batch (either entry kind).
@@ -55,20 +60,20 @@ class WorkerState:
         loi = self.lois.get(digest)
         if loi is not None:
             return loi, False
-        return self._first_sighting(Entry(INDIRECT, digest, len(self.lois)))
+        return self._first_sighting(INDIRECT, digest)
 
-    def _first_sighting(self, entry: Entry) -> tuple[int, bool]:
+    def _first_sighting(self, kind: str, digest: str) -> tuple[int, bool]:
         # Algorithm-1 new-transaction hook: the digest leaves every waiting
         # set, and each set it empties releases its vote, in subdag order.
-        self.lois[entry.digest] = entry.loi
-        self.entry_queue.append(entry)
+        loi = self.lois[digest] = len(self.lois)
+        self.entry_queue.append((kind, digest, loi))
         if self.waiting:  # empty unless a FairPropose is open
             for r in sorted(self.waiting):
                 unknown = self.waiting[r][0]
-                unknown.discard(entry.digest)
+                unknown.discard(digest)
                 if not unknown:
                     self._release(r)
-        return entry.loi, True
+        return loi, True
 
     # -- Algorithm 1: FairUpdate voting -----------------------------------
 
@@ -103,11 +108,13 @@ class WorkerState:
         order.
         An all-empty batch is permitted (heartbeat keeping rounds alive).
         """
-        entries = self.entry_queue[::-1] if self.reverse_order else self.entry_queue
-        batch = Batch(self.replica, self.seq, tuple(entries), tuple(self.vote_queue))
+        entries, bodies = self.entry_queue, self.body_queue
+        if self.reverse_order:  # bodies stay parallel to the direct entries
+            entries.reverse()
+            bodies.reverse()
+        batch = Batch(self.replica, self.seq, tuple(entries), tuple(bodies), tuple(self.vote_queue))
         self.seq += 1
-        self.entry_queue = []
-        self.vote_queue = []
+        self.entry_queue, self.body_queue, self.vote_queue = [], [], []
         return batch
 
 
@@ -115,15 +122,17 @@ class WorkerState:
 
 
 def encode_batch(batch: Batch) -> bytes:
-    """Length-prefixed little-endian encoding; digests travel as 32 raw bytes."""
-    parts = [struct.pack("<IIH", batch.author, batch.seq, len(batch.entries))]
-    for e in batch.entries:
-        body = e.body.encode() if e.body is not None else b""
-        parts.append(struct.pack("<B32sQI", e.kind == DIRECT, bytes.fromhex(e.digest), e.loi, len(body)))
+    """Length-prefixed little-endian encoding; digests travel as 32 raw bytes
+    and each direct entry carries its body."""
+    parts = [struct.pack("<III", batch.author, batch.seq, len(batch.entries))]
+    bodies = iter(batch.bodies)
+    for kind, digest, loi in batch.entries:
+        body = next(bodies).encode() if kind == DIRECT else b""
+        parts.append(struct.pack("<B32sQI", kind == DIRECT, bytes.fromhex(digest), loi, len(body)))
         parts.append(body)
-    parts.append(struct.pack("<H", len(batch.votes)))
+    parts.append(struct.pack("<I", len(batch.votes)))
     for v in batch.votes:
-        parts.append(struct.pack("<IIH", v.author, v.target_r, len(v.edges)))
+        parts.append(struct.pack("<III", v.author, v.target_r, len(v.edges)))
         for u, w in v.edges:
             parts.append(bytes.fromhex(u) + bytes.fromhex(w))
     payload = b"".join(parts)
@@ -149,25 +158,24 @@ def decode_batch(data: bytes) -> Batch:
     (total,) = take("<I")
     if total != len(data) - 4:
         raise WireError("length prefix mismatch")
-    author, seq, n_entries = take("<IIH")
-    entries = []
+    author, seq, n_entries = take("<III")
+    entries, bodies = [], []
     for _ in range(n_entries):
         is_direct, digest, loi, blen = take("<B32sQI")
         if is_direct > 1 or (blen and not is_direct):
             raise WireError("malformed entry header")
-        body = None
         if is_direct:
             try:
-                body = take(f"{blen}s")[0].decode()
+                bodies.append(take(f"{blen}s")[0].decode())
             except UnicodeDecodeError:
                 raise WireError("entry body is not UTF-8") from None
-        entries.append(Entry(DIRECT if is_direct else INDIRECT, digest.hex(), loi, body))
-    (n_votes,) = take("<H")
+        entries.append((DIRECT if is_direct else INDIRECT, digest.hex(), loi))
+    (n_votes,) = take("<I")
     votes = []
     for _ in range(n_votes):
-        vauthor, target_r, n_edges = take("<IIH")
+        vauthor, target_r, n_edges = take("<III")
         edges = tuple((u.hex(), w.hex()) for u, w in (take("32s32s") for _ in range(n_edges)))
         votes.append(FairUpdateVote(vauthor, target_r, edges))
     if off != len(data):
         raise WireError(f"{len(data) - off} trailing bytes after the batch")
-    return Batch(author, seq, tuple(entries), tuple(votes))
+    return Batch(author, seq, tuple(entries), tuple(bodies), tuple(votes))

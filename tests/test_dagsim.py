@@ -30,7 +30,6 @@ from batchfair.types import (
     DIRECT,
     INDIRECT,
     Batch,
-    Entry,
     FairUpdateVote,
     Vertex,
     VertexRecord,
@@ -38,6 +37,7 @@ from batchfair.types import (
     tx_digest,
     vertex_id,
 )
+from batchfair.worker import WorkerState
 
 
 def lockstep_sim(n=5, f=1, seed=7, max_rounds=10, **kw) -> Simulator:
@@ -196,7 +196,32 @@ def test_records_are_built_once_and_no_batch_outlives_its_proposal(name, kwargs)
     kinds = Counter(type(obj) for obj in _reachable((sim.by_round, sim.records)))
     assert kinds[VertexRecord] == len(proposed)
     assert kinds[FairUpdateVote] > 0  # the walk reaches the records' votes
-    assert kinds[Batch] == kinds[Entry] == 0
+    assert kinds[Batch] == 0
+
+
+@pytest.mark.parametrize(
+    "name,kwargs", [("speedup_bench", {}), ("crash_n13", {"txs": 400}), ("wire_binary", {})]
+)
+def test_committed_entries_are_the_tuples_build_batch_sealed(name, kwargs, monkeypatch):
+    sealed = {}  # author -> the entries of each batch it sealed; round r seals the r-th
+    build_batch = WorkerState.build_batch
+
+    def spy(worker):
+        batch = build_batch(worker)
+        sealed.setdefault(worker.replica, []).append(batch.entries)
+        return batch
+
+    monkeypatch.setattr(WorkerState, "build_batch", spy)
+    sc = build_scenario(name, **kwargs)
+    records = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run().records
+    committed = [vr for rec in records for vr in rec.vertices if vr.round > 0]
+    assert any(vr.entries for vr in committed)
+    for vr in committed:
+        entries = sealed[vr.author][vr.round - 1]
+        if sc.config.batch_wire:  # decoded from the wire: a new, equal tuple
+            assert vr.entries == entries
+        else:
+            assert vr.entries is entries
 
 
 def test_held_certificates_span_at_most_two_rounds():
@@ -446,7 +471,8 @@ def test_digest_listed_twice_in_a_batch_gets_one_loi():
     sim = Simulator(cfg)
     sim.advance_round()
     tx = tx_digest("twice")
-    sim.workers[0].entry_queue = [Entry(DIRECT, tx, 0, "twice"), Entry(INDIRECT, tx, 0)]
+    sim.workers[0].entry_queue = [(DIRECT, tx, 0), (INDIRECT, tx, 0)]
+    sim.workers[0].body_queue = ["twice"]
     sim.advance_round()
     assert sim.by_round[1][0].record.entries == ((DIRECT, tx, 0), (INDIRECT, tx, 0))
     assert _receipts(sim) == [(j, tx, 0) for j in range(1, 5)]

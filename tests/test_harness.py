@@ -469,6 +469,42 @@ def test_cli_check_reruns_the_verdicts_of_a_stored_trace(tmp_path, capsys):
     assert "serial_equivalence       FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["unknown-scenario", "infeasible-config", "config-not-json", "config-missing",
+     "check-not-a-trace", "check-line-cut", "check-no-meta", "check-missing",
+     "profile-not-a-trace"],
+)
+def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"n": 5, "f": 2}))
+    (tmp_path / "broken.json").write_text('{"n": 5, "f": ')
+    meta = json.dumps({"ev": "meta", "config": {"n": 4}})
+    (tmp_path / "cut.jsonl").write_text(meta + '\n{"ev": "tx_rec')
+    (tmp_path / "bare.jsonl").write_text('{"ev": "tx_received"}\n')
+    argv, message = {
+        "unknown-scenario": (["run", "--scenario", "nope"], "invalid choice: 'nope'"),
+        "infeasible-config": (["run", "--config", str(doc)], "n=5, f=2, gamma=1 violates"),
+        "config-not-json": (["run", "--config", str(tmp_path / "broken.json")],
+                            "broken.json is not a JSON document"),
+        "config-missing": (["run", "--config", str(tmp_path / "none.json")],
+                           "No such file or directory"),
+        "check-not-a-trace": (["check", str(doc)], f'{doc}:1: not a trace event (no "ev" key)'),
+        "check-line-cut": (["check", str(tmp_path / "cut.jsonl")], "cut.jsonl:2: not JSON"),
+        "check-no-meta": (["check", str(tmp_path / "bare.jsonl")],
+                          "bare.jsonl: no meta line carrying the run's config"),
+        "check-missing": (["check", str(tmp_path / "none.jsonl")], "No such file or directory"),
+        "profile-not-a-trace": (["profile", str(doc)], f"{doc}:1: not a trace event"),
+    }[case]
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(argv)
+    assert exit_.value.code == 2  # 1 is left to a failed verdict
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == err.splitlines()[-1:] and message in errors[0]
+
+
 def test_cli_run_baseline_scenario_reports_model(capsys):
     code = cli_main(["run", "--scenario", "dod_b2", "--serial"])
     out = capsys.readouterr().out

@@ -75,14 +75,14 @@ def synthetic_trace(n, receive_orders, reported=None, faults=(), retained=()):
     t = 0
     for rep, order in receive_orders.items():
         for k, tx in enumerate(order):
-            trace.append(
+            trace.events.append(
                 {"ev": "tx_received", "t": t, "replica": rep, "tx": tx, "loi": k,
                  "src": "client"}
             )
             t += 1
     reported = reported if reported is not None else receive_orders
     for rep, order in reported.items():
-        trace.append(
+        trace.events.append(
             {
                 "ev": "vertex_created", "t": t, "replica": rep, "round": 1,
                 "vid": f"r0001a{rep:03d}", "parents": [],
@@ -91,7 +91,7 @@ def synthetic_trace(n, receive_orders, reported=None, faults=(), retained=()):
             }
         )
     for r, k_digests in retained:
-        trace.append(
+        trace.events.append(
             {"ev": "graph_built", "t": t, "replica": None, "r": r, "v": len(k_digests),
              "m": 0, "anchor": 1, "k": len(k_digests), "k_digests": list(k_digests)}
         )
@@ -168,18 +168,18 @@ def test_single_graph_pass_and_planted_duplicate():
 def inverted_loi_trace(faults) -> RunTrace:
     """One replica whose committed stream goes LOI 5, then 0, 1."""
     trace = RunTrace(meta={"config": {"n": 1, "f": 0, "gamma": "1"}, "faults": faults})
-    trace.append(
+    trace.events.append(
         {"ev": "vertex_created", "t": 0, "replica": 0, "round": 1, "vid": "r0001a000",
          "parents": [], "entries": [["d", d("x"), 0], ["d", d("y"), 1]], "votes": []}
     )
-    trace.append(
+    trace.events.append(
         {"ev": "vertex_created", "t": 1, "replica": 0, "round": 2, "vid": "r0002a000",
          "parents": [], "entries": [["d", d("z"), 5]], "votes": []}
     )
-    trace.append({"ev": "subdag_committed", "t": 2, "replica": None, "r": 1, "wave": 1,
-                  "leader": "r0002a000", "vertices": ["r0002a000"]})
-    trace.append({"ev": "subdag_committed", "t": 3, "replica": None, "r": 2, "wave": 2,
-                  "leader": "r0001a000", "vertices": ["r0001a000"]})
+    trace.events.append({"ev": "subdag_committed", "t": 2, "replica": None, "r": 1, "wave": 1,
+                         "leader": "r0002a000", "vertices": ["r0002a000"]})
+    trace.events.append({"ev": "subdag_committed", "t": 3, "replica": None, "r": 2, "wave": 2,
+                         "leader": "r0001a000", "vertices": ["r0001a000"]})
     return trace
 
 

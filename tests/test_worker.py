@@ -3,7 +3,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from batchfair.types import DIRECT, INDIRECT, Batch, Entry, FairUpdateVote, tx_digest
+from batchfair.types import DIRECT, INDIRECT, Batch, FairUpdateVote, tx_digest
 from batchfair.worker import WireError, WorkerState, decode_batch, encode_batch
 
 
@@ -60,16 +60,16 @@ def test_batch_entries_in_loi_order_and_kinds():
     w.observe_remote(d("x"))
     w.observe_client("b", d("b"))
     batch = w.build_batch()
-    assert [e.loi for e in batch.entries] == [0, 1, 2]
-    assert [e.kind for e in batch.entries] == [DIRECT, INDIRECT, DIRECT]
-    assert [e.body for e in batch.entries] == ["a", None, "b"]
+    assert [loi for _kind, _digest, loi in batch.entries] == [0, 1, 2]
+    assert [kind for kind, _digest, _loi in batch.entries] == [DIRECT, INDIRECT, DIRECT]
+    assert batch.bodies == ("a", "b")
 
 
 def test_indirect_one_hop_never_reforwarded():
     w = make_worker()
     w.observe_remote(d("x"))
     first = w.build_batch()
-    assert [(e.kind, e.digest) for e in first.entries] == [(INDIRECT, d("x"))]
+    assert first.entries == ((INDIRECT, d("x"), 0),)
     w.observe_remote(d("x"))  # second sighting of the same digest
     assert w.build_batch().entries == ()
 
@@ -80,8 +80,8 @@ def test_sealed_batches_strictly_ascending_across_seals():
     for k in range(7):
         w.observe_client(f"t{k}", d(f"t{k}"))
         if k % 2:
-            seen.extend(e.loi for e in w.build_batch().entries)
-    seen.extend(e.loi for e in w.build_batch().entries)
+            seen.extend(loi for _kind, _digest, loi in w.build_batch().entries)
+    seen.extend(loi for _kind, _digest, loi in w.build_batch().entries)
     assert seen == sorted(seen) == list(range(7))
 
 
@@ -90,10 +90,11 @@ def test_reverser_reports_exact_reverse():
     for name in ("a", "b", "c"):
         w.observe_client(name, d(name))
     batch = w.build_batch()
-    assert [e.body for e in batch.entries] == ["c", "b", "a"]
+    assert [digest for _kind, digest, _loi in batch.entries] == [d("c"), d("b"), d("a")]
+    assert batch.bodies == ("c", "b", "a")
     # single transaction batches are unchanged
     w.observe_client("z", d("z"))
-    assert [e.body for e in w.build_batch().entries] == ["z"]
+    assert w.build_batch().bodies == ("z",)
 
 
 # -- Algorithm-1 voting --------------------------------------------------------------
@@ -184,16 +185,16 @@ class ReferenceWorker:
         self.pending: dict[int, set[tuple[str, str]]] = {}
         self.resolved: dict[int, dict[tuple[str, str], tuple[str, str]]] = {}
         self.proposed: set[int] = set()
-        self.entry_queue: list[Entry] = []
+        self.entry_queue: list[tuple] = []  # (kind, digest, loi, body)
         self.vote_queue: list[FairUpdateVote] = []
         self.seq = 0
         self.vote_cb = None
 
-    def _record(self, digest, make_entry):
+    def _record(self, digest, kind, body=None):
         if digest in self.assignment:
             return self.assignment[digest], False
         loi = self.assignment[digest] = len(self.assignment)
-        self.entry_queue.append(make_entry(loi))
+        self.entry_queue.append((kind, digest, loi, body))
         for r in sorted(self.pending):
             hits = [p for p in self.pending[r] if digest in p]
             for pair in hits:
@@ -203,10 +204,10 @@ class ReferenceWorker:
         return loi, True
 
     def observe_client(self, body, digest):
-        return self._record(digest, lambda loi: Entry(DIRECT, digest, loi, body))
+        return self._record(digest, DIRECT, body)
 
     def observe_remote(self, digest):
-        return self._record(digest, lambda loi: Entry(INDIRECT, digest, loi))
+        return self._record(digest, INDIRECT)
 
     def on_fair_propose(self, r, missing):
         if r in self.proposed:
@@ -238,10 +239,16 @@ class ReferenceWorker:
                 self.vote_cb(self.replica, vote)
 
     def build_batch(self):
-        entries = sorted(self.entry_queue, key=lambda e: e.loi)
+        entries = sorted(self.entry_queue, key=lambda e: e[2])
         if self.reverse_order:
             entries.reverse()
-        batch = Batch(self.replica, self.seq, tuple(entries), tuple(self.vote_queue))
+        batch = Batch(
+            self.replica,
+            self.seq,
+            tuple(e[:3] for e in entries),
+            tuple(e[3] for e in entries if e[0] == DIRECT),
+            tuple(self.vote_queue),
+        )
         self.seq += 1
         self.entry_queue = []
         self.vote_queue = []
@@ -312,6 +319,33 @@ def test_batch_wire_round_trip(fmt):
     assert decode_batch(encode_batch(batch)) == batch
 
 
+def test_wire_layout_pinned():
+    a, b = "11" * 32, "22" * 32
+    batch = Batch(7, 2, ((DIRECT, a, 0), (INDIRECT, b, 1)), ("hi",),
+                  (FairUpdateVote(7, 5, ((a, b),)),))
+    wire = encode_batch(batch)
+    assert wire.hex() == "".join([
+        "b8000000",  # u32 payload length
+        "07000000" "02000000" "02000000",  # u32 author, seq, entry count
+        "01" + a + "0000000000000000" "02000000" "6869",  # u8 direct, digest, u64 LOI,
+        "00" + b + "0100000000000000" "00000000",  # u32 body length, body (none if indirect)
+        "01000000",  # u32 vote count
+        "07000000" "05000000" "01000000",  # u32 voter, target subdag, edge count
+        a + b,  # one edge: from digest, to digest
+    ])
+    assert decode_batch(wire) == batch
+
+
+def test_wire_counts_past_16_bits_round_trip():
+    big = 1 << 16
+    digests = [f"{i:064x}" for i in range(big)]
+    entries = tuple((DIRECT if i % 2 else INDIRECT, x, i) for i, x in enumerate(digests))
+    vote = FairUpdateVote(1, 9, tuple(zip(digests, digests[1:] + digests[:1])))
+    batch = Batch(1, 0, entries, tuple(f"b{i}" for i in range(1, big, 2)), (vote,))
+    assert len(batch.entries) == len(vote.edges) == big
+    assert decode_batch(encode_batch(batch)) == batch
+
+
 def test_binary_wire_is_length_prefixed():
     wire = encode_batch(_example_batch())
     (length,) = struct.unpack_from("<I", wire, 0)
@@ -340,6 +374,7 @@ def test_wire_round_trip_property(names, reverse):
         ("binary", encode_batch(_example_batch())[:-3]),
         ("binary", encode_batch(_example_batch())[:3]),
     ],
+    ids=["binary-tail-cut", "binary-prefix-cut"],  # not the bytes, which change with the format
 )
 def test_decode_batch_rejects_truncated_or_incomplete_input(fmt, wire):
     with pytest.raises(WireError):

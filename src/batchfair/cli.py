@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .harness import phase_profile, report_from_trace, run_scenario, sweep
+from .harness import load_scenario_file, phase_profile, report_from_trace, run_scenario, sweep
 from .params import ConfigError
 from .scenarios import scenario_names
 from .trace import RunTrace
@@ -14,14 +14,16 @@ from .trace import RunTrace
 
 def _add_run(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("run", help="run one scenario or JSON config")
-    p.add_argument("--scenario", choices=scenario_names(), metavar="NAME",
-                   help=f"one of: {', '.join(scenario_names())}")
-    p.add_argument("--config", help="path to a scenario JSON document")
+    target = p.add_mutually_exclusive_group()
+    target.add_argument("--scenario", choices=scenario_names(), metavar="NAME",
+                        help=f"one of: {', '.join(scenario_names())}")
+    target.add_argument("--config", help="path to a scenario JSON document, any suffix")
     p.add_argument("--serial", action="store_true",
                    help="replay serially for verification (the in-loop layer is always serial)")
     p.add_argument("--threads", type=int, metavar="K",
                    help="concurrent fairness task slots (default: the config's task_slots)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="seed of a --scenario (default 0); a --config document sets its own")
     p.add_argument("--out", metavar="DIR", help="write trace/report/CSV artifacts")
     p.add_argument("--trace", choices=("on", "off"), default="on")
 
@@ -81,14 +83,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        target = args.config or args.scenario
-        if not target:
+        if args.config is None and args.scenario is None:
             command.error("run needs --scenario or --config")
+        if args.config is not None and args.seed is not None:
+            command.error("--seed applies to --scenario; a --config document sets its own seed")
         if args.threads is not None and args.threads < 1:
             command.error(f"--threads must be at least 1, got {args.threads}")
         try:
             reports = run_scenario(
-                target,
+                args.scenario if args.config is None else load_scenario_file(args.config),
                 serial=args.serial,
                 slots=args.threads,
                 seed=args.seed,

@@ -1,44 +1,41 @@
 """Per-subdag dependency-graph construction: phases 1-3 of the fairness task.
 
 Snapshot extraction decides a subdag's support classes, once: it counts how
-many authors list each unclaimed pending digest, admits those at tau_i,
-marks those at tau_s solid, and passes each author's admitted contributions
-on as integer indices into the admitted list. Phase 1 then counts the
-pairwise weight matrix from those index orders with one broadcast comparison
-per block of authors (a pure function of the snapshot). Phase 2 drops the
-admitted transactions that an earlier subdag already retained
-(``CumulativeState.proposed``) and turns the weights into a k x k boolean
-adjacency matrix. Phase 3 gives each vertex its SCC's canonical position
-(``scc_positions``), each BFS level of its forward-backward search one
-vector-matrix product, and truncates past the anchor. When no retained pair
-is missing, phase 3 also linearizes the retained SCCs into the subdag's
-final order; otherwise it returns the truncated graph, which the coordinator
-(pipeline.py) parks until votes resolve its missing edges. When the anchor
-keeps every vertex, the truncated graph is the phase-2 graph itself.
+many authors list each pending digest, admits those at tau_i, marks those at
+tau_s solid (a bool mask over the admitted list), and passes each author's
+admitted contributions on as integer indices into the admitted list. Phase 1
+then counts the pairwise weight matrix from those index orders with one
+broadcast comparison per block of authors, and phase 2 turns the weights
+into a k x k boolean adjacency matrix over the admitted digests: both are
+pure functions of the snapshot. Phase 3 gives each vertex its SCC's
+canonical position (``scc_positions``), each BFS level of its
+forward-backward search one vector-matrix product, and truncates past the
+anchor. When no retained pair is missing, phase 3 also linearizes the
+retained SCCs into the subdag's final order; otherwise it returns the
+truncated graph, which the coordinator (pipeline.py) parks until votes
+resolve its missing edges.
 
-Phase 1 is the step a process pool runs (``weight_counts``), so what
-crosses the process boundary is small: the admitted count and index lists
-in, the m x m count matrix out, in the smallest unsigned dtype that holds
-the author count (the workers see no digest). The counts land in
-``Snapshot.weights``, and phase 2 cuts edges at ``CumulativeState.tau_i``,
-the one integer threshold that admission and the vote tally use too. From
-phase 2 on, ``DepGraph.adj`` is a boolean ndarray whose vertices ascend by
-digest.
+Phase 1 is the step a process pool runs (``weight_counts``): the admitted
+count and index lists in, the m x m count matrix out, in the smallest
+unsigned dtype that holds the author count (the workers see no digest).
+Phase 2 cuts edges at ``CumulativeState.tau_i``, the one integer threshold
+that admission and the vote tally use too. From phase 2 on, ``DepGraph.adj``
+is a boolean ndarray whose vertices ascend by digest.
 
-Phase 2's filter against everything earlier subdags retained, applied in
-commit order, is what keeps concurrent per-subdag tasks single-graph-safe.
-Solid claims, recorded at snapshot extraction, only keep the solid digests
-of subdags still in flight out of later snapshots, which bounds phase 1's
-work: without them every golden pin and property test still passed, but the
-concurrent replay's sum of admitted^2 on speedup_bench and crash_n13 grew
-3.6-3.8x at 2 slots and 13.4-13.9x at 4. In serial mode a subdag lands
-before the next is extracted, so no claim is ever active there.
+A retained digest leaves ``pending`` when its subdag lands, and ingestion
+skips it from then on, so a snapshot extracted after every earlier subdag
+landed admits nothing an earlier subdag retained. Only a driver that
+extracts ahead of landings (``FairnessPipeline.replay_concurrent``) needs
+more: it keeps the solid digests of its in-flight snapshots out of later
+snapshots (``claimed``), and at each landing cuts what subdags that landed
+after the extraction retained (``drop_retained``).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -59,16 +56,16 @@ def count_threshold(tau) -> int:
 class Snapshot:
     """One subdag's phase-1 input, classified once at extraction.
 
-    ``admitted`` holds the digests with support >= tau_i, ascending; ``solid``
-    those among them with support >= tau_s. ``orders`` maps each author to
-    its unclaimed admitted contributions, in contribution order, as indices
-    into ``admitted``. Phase 1 fills ``weights``: weights[i, j] is the
-    number of orders placing admitted[i] before admitted[j].
+    ``admitted`` holds the digests with support >= tau_i, ascending;
+    ``solid[i]`` is whether admitted[i]'s support reaches tau_s. ``orders``
+    maps each author to its admitted contributions, in contribution order,
+    as indices into ``admitted``. Phase 1 fills ``weights``: weights[i, j]
+    is the number of orders placing admitted[i] before admitted[j].
     """
 
     r: int
     admitted: list[str]
-    solid: frozenset[str]
+    solid: np.ndarray  # bool per admitted digest
     orders: dict[int, list[int]]
     weights: np.ndarray | None = None
 
@@ -100,7 +97,6 @@ class CumulativeState:
         self.tau_s = solid_threshold(n, f)
         self.pending: dict[int, dict[str, None]] = {}
         self.proposed: set[str] = set()
-        self.claims: dict[int, frozenset[str]] = {}
         self.last_extracted = 0
         self.last_applied = 0
 
@@ -112,12 +108,12 @@ class CumulativeState:
                     plist.setdefault(digest)
 
 
-def classify(r: int, orders: dict[int, list[str]], tau_i: int, tau_s: int) -> Snapshot:
+def classify(r: int, orders: dict[int, Iterable[str]], tau_i: int, tau_s: int) -> Snapshot:
     """Count support once (one per author listing a digest) and cut the
     snapshot: admitted at tau_i, solid at tau_s, orders as admitted indices."""
     support = Counter(chain.from_iterable(orders.values()))
     admitted = sorted(d for d, c in support.items() if c >= tau_i)
-    solid = frozenset(d for d in admitted if support[d] >= tau_s)
+    solid = np.array([support[d] >= tau_s for d in admitted], dtype=bool)
     idx = {d: i for i, d in enumerate(admitted)}
     indexed = {}
     for author, order in orders.items():
@@ -127,12 +123,13 @@ def classify(r: int, orders: dict[int, list[str]], tau_i: int, tau_s: int) -> Sn
     return Snapshot(r, admitted, solid, indexed)
 
 
-def extract_snapshot(state: CumulativeState, record: CommitRecord) -> Snapshot:
+def extract_snapshot(
+    state: CumulativeState, record: CommitRecord, claimed=frozenset()
+) -> Snapshot:
     """Synchronous main-thread step: ingest a committed subdag and cut L_i.
 
-    The snapshot excludes permanently proposed transactions and every active
-    solid claim; the snapshot's own solid set is recorded as this subdag's
-    claim before the task is dispatched.
+    The snapshot excludes permanently proposed transactions and every digest
+    in ``claimed``, the solid digests of snapshots still in flight.
     """
     if record.r != state.last_extracted + 1:
         raise ValueError(
@@ -140,18 +137,15 @@ def extract_snapshot(state: CumulativeState, record: CommitRecord) -> Snapshot:
         )
     state.last_extracted = record.r
     state._ingest(record)
-    claimed = set().union(*state.claims.values())
     orders = {
-        author: [d for d in plist if d not in claimed]
+        author: [d for d in plist if d not in claimed] if claimed else plist
         for author, plist in sorted(state.pending.items())
     }
-    snap = classify(record.r, orders, state.tau_i, state.tau_s)
-    state.claims[record.r] = snap.solid
-    return snap
+    return classify(record.r, orders, state.tau_i, state.tau_s)
 
 
 def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
-    """Promote a finished task's retained vertices and drop its claim."""
+    """Promote a landed subdag's retained vertices out of pending."""
     if r != state.last_applied + 1:
         raise ValueError(
             f"result for subdag {r} applied out of order (expected {state.last_applied + 1})"
@@ -161,7 +155,6 @@ def apply_result(state: CumulativeState, r: int, k_set: list[str]) -> None:
     for plist in state.pending.values():
         for d in k_set:
             plist.pop(d, None)
-    state.claims.pop(r, None)
 
 
 # -- Phase 1 ------------------------------------------------------------------
@@ -212,24 +205,29 @@ def phase1_weights(snapshot: Snapshot) -> Snapshot:
 # -- Phase 2 ------------------------------------------------------------------
 
 
-def phase2_build_graph(snap: Snapshot, proposed, tau_i: int) -> DepGraph:
-    """Drop what earlier subdags retained, then add edges from cached weights.
+def phase2_build_graph(snap: Snapshot, tau_i: int) -> DepGraph:
+    """Add edges over the admitted digests from the cached weights.
 
-    ``proposed`` is ``CumulativeState.proposed``, every digest retained by an
-    earlier subdag, and ``tau_i`` is ``CumulativeState.tau_i``. An edge is
-    installed toward the direction whose cached weight reaches tau_i; at an
-    exact tie the smaller digest (the smaller index) is the source. Pairs
-    below tau_i in both directions become missing edges, listed row-major.
+    ``tau_i`` is ``CumulativeState.tau_i``. An edge is installed toward the
+    direction whose cached weight reaches tau_i; at an exact tie the smaller
+    digest (the smaller index) is the source. Pairs below tau_i in both
+    directions become missing edges, listed row-major.
     """
-    kept = [i for i, d in enumerate(snap.admitted) if d not in proposed]
-    nodes = [snap.admitted[i] for i in kept]
-    w = snap.weights[np.ix_(kept, kept)]
+    nodes, w = snap.admitted, snap.weights
     decided = (w >= tau_i) | (w.T >= tau_i)
     adj = decided & ((w > w.T) | np.triu(w == w.T, 1))
     rows, cols = np.nonzero(np.triu(~decided, 1))
     missing = [(nodes[a], nodes[b]) for a, b in zip(rows.tolist(), cols.tolist())]
-    solid = np.array([d in snap.solid for d in nodes], dtype=bool)
-    return DepGraph(snap.r, nodes, adj, missing, solid)
+    return DepGraph(snap.r, nodes, adj, missing, snap.solid)
+
+
+def drop_retained(snap: Snapshot, proposed) -> Snapshot:
+    """The snapshot without the digests in ``proposed``: its admitted list,
+    solid mask and weights cut to the rest. The index orders, phase 1's
+    input, are not carried over."""
+    kept = [i for i, d in enumerate(snap.admitted) if d not in proposed]
+    return Snapshot(snap.r, [snap.admitted[i] for i in kept], snap.solid[kept], {},
+                    snap.weights[np.ix_(kept, kept)])
 
 
 # -- SCC machinery -------------------------------------------------------------

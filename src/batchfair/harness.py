@@ -259,18 +259,19 @@ def run_baseline_models(scenario: Scenario) -> dict:
 
 
 def run_scenario(
-    name_or_path: str,
+    scenario: Scenario | str,
     serial: bool = False,
     slots: int | None = None,
     seed: int | None = None,
     outdir: str | Path | None = None,
     trace_on: bool = True,
 ) -> list[RunReport]:
-    """Run a shipped scenario (all its variants) or a JSON config file."""
-    if Path(str(name_or_path)).suffix == ".json":
-        scenario = load_scenario_file(name_or_path)
-    else:
-        scenario = build_scenario(name_or_path, seed=seed or 0)
+    """Run a scenario, such as one from ``load_scenario_file``, or a shipped
+    scenario by name (all its variants, built at ``seed``, default 0)."""
+    if isinstance(scenario, str):
+        scenario = build_scenario(scenario, seed=seed or 0)
+    elif seed is not None:
+        raise ValueError("seed builds a shipped scenario by name; a Scenario carries its own")
     variants = scenario.variants or [{}]
     reports: list[RunReport] = []
     results: list[SimResult] = []

@@ -3,19 +3,19 @@
 Extraction (``extract_snapshot``) runs on the coordinator in commit order and
 decides each subdag's support classes once. Phase 1 (the weight matrix) is a
 numpy kernel over the snapshot's index orders, a pure function of the
-snapshot, and is the only step that can run apart from the others. Phase 2
-filters against ``CumulativeState.proposed``, which holds what every earlier
-subdag retained, a vote counts only if its target is parked when the vote's
-record lands, and Emit drains in commit order, so everything after phase 1
-runs on the coordinator, one subdag at a time, in commit order. That is the
-landing step, ``_land``, and both drivers share it:
+snapshot, and is the only step that can run apart from the others: phase 3's
+retained set decides what the next snapshot admits, a vote counts only if
+its target is parked when the vote's record lands, and Emit drains in commit
+order. So phases 2-4 run on the coordinator, one subdag at a time, in commit
+order. That is the landing step, ``_land``, and both drivers share it:
 
 * event/serial mode (``on_commit``, ``replay``): each committed subdag runs
   phase 1 inline and lands at once (this is also how the simulator drives
   the pipeline at commit time);
 * concurrent mode (``replay_concurrent``): phase-1 tasks run on a process
   pool for a window of in-flight subdags, and the coordinator lands their
-  results in commit order.
+  results in commit order. Only this driver extracts ahead of landings, so
+  only it excludes its window's solid digests and cuts stale snapshots.
 
 The pipeline calls nothing back. ``on_commit`` returns the subdag's
 ``Landing``: the trace events it produced, in order, the orders it let out,
@@ -29,11 +29,9 @@ pipeline's own values, not copies: ``order_emitted`` the order's digests and
 batches, ``graph_profile`` the very dict ``PipelineResult.profiles`` keeps.
 
 Both modes land the same records in the same order, so they produce
-bit-identical emitted orders; only wall-clock differs. The parallel work runs
-on a process pool. A task ships the admitted count and every author's order
-as integer indices, and its result is the m x m count matrix alone, one byte
-per cell below 256 authors: no digest crosses the pool in either direction,
-and the coordinator attaches the counts to its own snapshot.
+bit-identical emitted orders; only wall-clock differs. A pool task ships the
+admitted count and the index orders, and returns the m x m count matrix,
+one byte per cell below 256 authors: no digest crosses the pool.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
 from time import perf_counter_ns
 
 from .finalize import ParkedStore, apply_fair_update, emit, mark_ready, park, route_votes
@@ -48,6 +47,7 @@ from .graph import (
     CumulativeState,
     Snapshot,
     apply_result,
+    drop_retained,
     extract_snapshot,
     phase1_weights,
     phase2_build_graph,
@@ -100,9 +100,9 @@ class FairnessPipeline:
                  "digests": order.digests, "batches": order.batches}
             )
 
-    def _extract(self, record: CommitRecord) -> tuple[Snapshot, int]:
+    def _extract(self, record: CommitRecord, claimed=frozenset()) -> tuple[Snapshot, int]:
         t0 = perf_counter_ns()
-        snap = extract_snapshot(self.state, record)
+        snap = extract_snapshot(self.state, record, claimed)
         return snap, perf_counter_ns() - t0
 
     def _land(
@@ -118,7 +118,7 @@ class FairnessPipeline:
         self._drain_emit(landing, now)
         r = snap.r
         t0 = perf_counter_ns()
-        graph = phase2_build_graph(snap, self.state.proposed, self.state.tau_i)
+        graph = phase2_build_graph(snap, self.state.tau_i)
         t1 = perf_counter_ns()
         outcome, anchor, k_digests = phase3_anchor(graph)
         t2 = perf_counter_ns()
@@ -177,8 +177,9 @@ class FairnessPipeline:
 
         At most ``slots`` phase-1 tasks are in flight. Only extraction and
         phase 1 run ahead; each record lands, votes first, strictly in commit
-        order, so emitted output is scheduling-independent.
-        """
+        order, so emitted output is scheduling-independent. A snapshot excludes
+        the window's solid digests and loses, at landing, what was retained
+        since its extraction."""
         own_pool = pool is None
         if own_pool:
             pool = ProcessPoolExecutor(max_workers=slots)
@@ -187,11 +188,12 @@ class FairnessPipeline:
         def land_oldest() -> None:
             rec, snap, extract_ns, fut = inflight.popleft()
             snap.weights, weights_ns = fut.result()
-            self._land(rec, snap, extract_ns, weights_ns)
+            self._land(rec, drop_retained(snap, self.state.proposed), extract_ns, weights_ns)
 
         try:
             for rec in records:
-                snap, extract_ns = self._extract(rec)
+                claimed = {d for _, p, _, _ in inflight for d in compress(p.admitted, p.solid)}
+                snap, extract_ns = self._extract(rec, claimed)
                 fut = pool.submit(_weights_task, len(snap.admitted), snap.orders)
                 inflight.append((rec, snap, extract_ns, fut))
                 if len(inflight) >= max(1, slots):

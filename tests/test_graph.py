@@ -16,6 +16,7 @@ from batchfair.graph import (
     apply_result,
     classify,
     count_threshold,
+    drop_retained,
     extract_snapshot,
     phase1_weights,
     phase2_build_graph,
@@ -53,6 +54,10 @@ def snapshot(orders: dict, n: int, f: int, gamma) -> Snapshot:
     """Subdag 1's snapshot of digest orders, classified at (n, f, gamma)."""
     tau_i = count_threshold(edge_threshold(n, f, gamma))
     return classify(1, orders, tau_i, solid_threshold(n, f))
+
+
+def solid_digests(snap: Snapshot) -> list[str]:
+    return [snap.admitted[i] for i in np.flatnonzero(snap.solid)]
 
 
 def digest_orders(snap: Snapshot) -> dict:
@@ -104,7 +109,7 @@ def test_condorcet_weights_and_classes():
     snap = snapshot({0: (a, b, c), 1: (b, c, a), 2: (c, a, b)}, 3, 0, Fraction(2, 3))
     rep = phase1_weights(snap)
     assert rep.admitted == sorted([a, b, c])
-    assert rep.solid == frozenset({a, b, c})
+    assert rep.solid.dtype == bool and solid_digests(rep) == sorted([a, b, c])
     assert (weight(rep, a, b), weight(rep, b, a)) == (2, 1)
     assert (weight(rep, b, c), weight(rep, c, b)) == (2, 1)
     assert (weight(rep, c, a), weight(rep, a, c)) == (2, 1)
@@ -112,7 +117,7 @@ def test_condorcet_weights_and_classes():
 
 def test_empty_snapshot_empty_report():
     rep = phase1_weights(snapshot({}, 5, 1, 1))
-    assert rep.admitted == [] and rep.solid == frozenset() and len(rep.weights) == 0
+    assert rep.admitted == [] and len(rep.solid) == 0 and len(rep.weights) == 0
 
 
 def test_phase1_matches_brute_force_fixed():
@@ -207,7 +212,7 @@ def _condorcet_report():
 
 def test_phase2_condorcet_builds_cycle_no_missing():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), 2)  # tau = 2 at n=3, f=0, gamma=2/3
+    g = phase2_build_graph(rep, 2)  # tau = 2 at n=3, f=0, gamma=2/3
     assert g.missing == []
     assert edges_of(g) == {(a, b), (b, c), (c, a)}
 
@@ -217,7 +222,7 @@ def test_phase2_below_threshold_pair_is_missing():
     # two replicas disagree 1/1, tau = 2
     snap = snapshot({0: (x, y), 1: (y, x), 2: ()}, 3, 0, Fraction(2, 3))
     rep = phase1_weights(snap)
-    g = phase2_build_graph(rep, frozenset(), 2)
+    g = phase2_build_graph(rep, 2)
     assert g.missing == [tuple(sorted((x, y)))]
     assert not g.adj.any()
 
@@ -226,15 +231,23 @@ def test_phase2_tie_at_threshold_goes_to_smaller_digest():
     x, y = sorted((d("p"), d("q")))
     snap = snapshot({0: (x, y), 1: (x, y), 2: (y, x), 3: (y, x), 4: ()}, 5, 1, 1)
     rep = phase1_weights(snap)  # tau = 2; 2/2 tie
-    g = phase2_build_graph(rep, frozenset(), 2)
+    g = phase2_build_graph(rep, 2)
     assert edges_of(g) == {(x, y)}
 
 
 def test_phase2_chain_filter_removes_before_edges():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset({b}), 2)
+    g = phase2_build_graph(drop_retained(rep, frozenset({b})), 2)
     assert b not in g.nodes
     assert edges_of(g) == {(c, a)}  # only the a/c pair survives the filter
+    assert g.solid.tolist() == [True, True]
+
+
+def test_phase2_builds_over_the_snapshot_as_it_is():
+    # phase 2 filters nothing: its vertices and solid mask are the snapshot's own
+    rep, _ = _condorcet_report()
+    g = phase2_build_graph(rep, 2)
+    assert g.nodes is rep.admitted and g.solid is rep.solid
 
 
 def scalar_phase2(report, proposed, tau_i: int):
@@ -272,8 +285,9 @@ def test_phase2_masks_match_scalar_pair_rule(data, m, tau_i):
     picks = st.sets(st.sampled_from(admitted)) if admitted else st.just(set())
     proposed = frozenset(data.draw(picks)) | {d("retained earlier")}
     solid = frozenset(data.draw(picks))
-    report = Snapshot(1, admitted, solid, {}, weights)
-    g = phase2_build_graph(report, proposed, tau_i)
+    mask = np.array([x in solid for x in admitted], dtype=bool)
+    report = Snapshot(1, admitted, mask, {}, weights)
+    g = phase2_build_graph(drop_retained(report, proposed), tau_i)
     keep, edges, missing = scalar_phase2(report, proposed, tau_i)
     assert g.nodes == keep
     assert edges_of(g) == edges
@@ -389,7 +403,7 @@ def test_scc_matches_reachability_oracle_property(seed, size, p_missing, p_forwa
 
 def test_phase3_condorcet_single_scc_is_anchor():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), 2)
+    g = phase2_build_graph(rep, 2)
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 1
     assert sorted(k) == sorted([a, b, c])
@@ -400,8 +414,8 @@ def test_phase3_truncates_past_anchor():
     x, y, z = d("x1"), d("y1"), d("z1")
     snap = snapshot({0: (x, y, z), 1: (x, y, z), 2: (x,)}, 5, 1, 1)
     rep = phase1_weights(snap)  # tau=2, tau_s=3
-    assert rep.solid == frozenset({x})
-    g = phase2_build_graph(rep, frozenset(), 2)
+    assert solid_digests(rep) == [x]
+    g = phase2_build_graph(rep, 2)
     order, anchor, k = phase3_anchor(g)
     assert k == [x]
     assert order == FinalOrder(1, (x,), ((0, 1),))
@@ -413,7 +427,7 @@ def test_phase3_no_solid_retains_nothing():
     st_.proposed.add(d("old"))
     snap = extract_snapshot(st_, _record(1, {0: [x, y], 1: [x, y]}))
     rep = phase1_weights(snap)  # support 2 < tau_s=3: shaded only
-    g = phase2_build_graph(rep, st_.proposed, 2)
+    g = phase2_build_graph(rep, 2)
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == []
     apply_result(st_, 1, k)
@@ -421,9 +435,7 @@ def test_phase3_no_solid_retains_nothing():
 
 
 def test_phase3_empty_graph():
-    g = phase2_build_graph(
-        phase1_weights(snapshot({}, 5, 1, 1)), frozenset(), 2
-    )
+    g = phase2_build_graph(phase1_weights(snapshot({}, 5, 1, 1)), 2)
     trunc, anchor, k = phase3_anchor(g)
     assert anchor == 0 and k == [] and trunc == FinalOrder(1, (), ())
 
@@ -470,7 +482,7 @@ def test_phase3_matches_reference_on_near_tournaments():
 
 def test_phase4_finalizes_without_missing():
     rep, (a, b, c) = _condorcet_report()
-    g = phase2_build_graph(rep, frozenset(), 2)
+    g = phase2_build_graph(rep, 2)
     order, *_ = phase3_anchor(g)
     assert order.digests == tuple(sorted([a, b, c]))
     assert order.batches == ((0, 3),)
@@ -480,7 +492,7 @@ def test_phase4_parks_with_missing():
     x, y = d("x"), d("y")
     snap = snapshot({0: (x, y), 1: (y, x), 2: (x, y), 3: (x,), 4: (y,)}, 5, 1, 1)
     rep = phase1_weights(snap)
-    g = phase2_build_graph(rep, frozenset(), 3)  # force 2/1 below 3
+    g = phase2_build_graph(rep, 3)  # force 2/1 below 3
     trunc, *_ = phase3_anchor(g)
     assert trunc.missing == [tuple(sorted((x, y)))]
     assert trunc.adj.shape == (2, 2) and not trunc.adj.any()
@@ -503,25 +515,28 @@ def test_extract_first_subdag_base_case():
     assert snap.admitted == [d("x")]
     assert snap.orders == {0: [0], 1: [0], 2: [0]}
     assert digest_orders(snap) == {0: (d("x"),), 1: (d("x"),), 2: (d("x"),)}
-    assert snap.solid == st_.claims[1] == frozenset({d("x")})  # support 3 >= tau_s = 3
+    assert solid_digests(snap) == [d("x")]  # support 3 >= tau_s = 3
 
 
 def test_extract_single_reporter_stays_blank_no_claim():
     st_ = CumulativeState(4, 1, 1)
     snap = extract_snapshot(st_, _record(1, {2: [d("a"), d("b")]}))
-    assert snap.solid == st_.claims[1] == frozenset()
+    assert solid_digests(snap) == []
     # support 1 < tau_i = 2: nothing is admitted, and both stay pending in order
     assert snap.admitted == [] and snap.orders == {}
     assert list(st_.pending[2]) == [d("a"), d("b")]
 
 
 def test_claimed_tx_excluded_from_next_snapshot_before_apply():
-    st_ = CumulativeState(3, 0, Fraction(2, 3))
-    extract_snapshot(st_, _record(1, {0: [d("s")], 1: [d("s")], 2: [d("s")]}))
-    # the first task has NOT returned; its solid claim hides s
-    snap2 = extract_snapshot(st_, _record(2, {0: [d("t")], 1: [d("t")], 2: [d("t")]}))
-    flat = {dg for order in digest_orders(snap2).values() for dg in order}
-    assert d("s") not in flat and d("t") in flat
+    rec2 = _record(2, {0: [d("t")], 1: [d("t")], 2: [d("t")]})
+    for window in (False, True):
+        st_ = CumulativeState(3, 0, Fraction(2, 3))
+        snap1 = extract_snapshot(st_, _record(1, {0: [d("s")], 1: [d("s")], 2: [d("s")]}))
+        # subdag 1 has NOT landed; with it in the window, its solid s is claimed
+        claimed = set(solid_digests(snap1)) if window else frozenset()
+        snap2 = extract_snapshot(st_, rec2, claimed)
+        flat = {dg for order in digest_orders(snap2).values() for dg in order}
+        assert (d("s") in flat) != window and d("t") in flat
 
 
 def test_out_of_order_extract_rejected():
@@ -530,11 +545,12 @@ def test_out_of_order_extract_rejected():
         extract_snapshot(st_, _record(2, {0: [d("x")]}))
 
 
-def test_apply_result_promotes_and_drops_claim():
+def test_apply_result_promotes_and_keeps_truncated_pending():
     st_ = CumulativeState(3, 0, Fraction(2, 3))
     extract_snapshot(st_, _record(1, {0: [d("k"), d("z")], 1: [d("k")], 2: [d("k")]}))
     apply_result(st_, 1, [d("k")])
-    assert d("k") in st_.proposed and 1 not in st_.claims
+    assert d("k") in st_.proposed and {a: list(p) for a, p in st_.pending.items()} == {
+        0: [d("z")], 1: [], 2: []}
     # truncated tx stays pending and reappears in the next snapshot
     snap2 = extract_snapshot(st_, _record(2, {1: [d("z")], 2: [d("z")]}))
     flat = {dg for order in digest_orders(snap2).values() for dg in order}

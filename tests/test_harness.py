@@ -79,8 +79,16 @@ def test_json_config_round_trip(tmp_path):
     path.write_text(json.dumps(doc))
     scenario = load_scenario_file(path)
     assert scenario.name == "custom" and scenario.faults.f_actual == 1
-    reports = run_scenario(str(path), serial=True, outdir=tmp_path / "out")
+    reports = run_scenario(load_scenario_file(path), serial=True, outdir=tmp_path / "out")
     assert reports[0].ok
+    # the CLI reads --config as a document whatever the file's suffix
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(path.read_text())
+    assert cli_main(["run", "--config", str(cfg), "--serial", "--out", str(tmp_path / "cfg")]) == 0
+    again = json.loads((tmp_path / "cfg" / "report.json").read_text())[0]
+    assert again["emitted_digest"] == reports[0].emitted_digest
+    with pytest.raises(ValueError, match="seed builds a shipped scenario"):
+        run_scenario(load_scenario_file(path), seed=9)
 
 
 def test_bad_config_names_offending_key(tmp_path):
@@ -139,7 +147,7 @@ def test_malformed_delay_spike_is_config_error(tmp_path, spike, field):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**BASE_DOC, "spikes": [spike]}))
     with pytest.raises(ConfigError, match=f"delay spike {field}"):
-        run_scenario(str(path), serial=True, outdir=tmp_path / "out")
+        run_scenario(load_scenario_file(path), serial=True, outdir=tmp_path / "out")
 
 
 def test_unknown_fault_strategy_is_config_error(tmp_path):
@@ -182,7 +190,7 @@ def test_malformed_directive_run_is_config_error(tmp_path, doc, match):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**BASE_DOC, **doc}))
     with pytest.raises(ConfigError, match=match):
-        run_scenario(str(path), serial=True, outdir=tmp_path / "out")
+        run_scenario(load_scenario_file(path), serial=True, outdir=tmp_path / "out")
 
 
 @pytest.mark.parametrize("doc,match", [
@@ -472,12 +480,13 @@ def test_cli_check_reruns_the_verdicts_of_a_stored_trace(tmp_path, capsys):
 @pytest.mark.parametrize(
     "case",
     ["unknown-scenario", "infeasible-config", "config-not-json", "config-missing",
-     "check-not-a-trace", "check-line-cut", "check-no-meta", "check-missing",
+     "config-any-suffix", "scenario-and-config", "seed-with-config", "check-not-a-trace", "check-line-cut", "check-no-meta", "check-missing",
      "profile-not-a-trace"],
 )
 def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"n": 5, "f": 2}))
+    (tmp_path / "doc.cfg").write_text(doc.read_text())
     (tmp_path / "broken.json").write_text('{"n": 5, "f": ')
     meta = json.dumps({"ev": "meta", "config": {"n": 4}})
     (tmp_path / "cut.jsonl").write_text(meta + '\n{"ev": "tx_rec')
@@ -489,6 +498,13 @@ def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
                             "broken.json is not a JSON document"),
         "config-missing": (["run", "--config", str(tmp_path / "none.json")],
                            "No such file or directory"),
+        # read as a document whatever its suffix, not looked up as a scenario name
+        "config-any-suffix": (["run", "--config", str(tmp_path / "doc.cfg")],
+                              "n=5, f=2, gamma=1 violates"),
+        "scenario-and-config": (["run", "--scenario", "condorcet_minimal", "--config", str(doc)],
+                                "argument --config: not allowed with argument --scenario"),
+        "seed-with-config": (["run", "--config", str(doc), "--seed", "9"],
+                             "--seed applies to --scenario"),
         "check-not-a-trace": (["check", str(doc)], f'{doc}:1: not a trace event (no "ev" key)'),
         "check-line-cut": (["check", str(tmp_path / "cut.jsonl")], "cut.jsonl:2: not JSON"),
         "check-no-meta": (["check", str(tmp_path / "bare.jsonl")],

@@ -14,8 +14,9 @@ from batchfair.adversaries import (
 from batchfair.dagsim import Simulator
 from batchfair.params import SimConfig
 from batchfair.pipeline import FairnessPipeline, _weights_task
-from batchfair.scenarios import sweep_scenario
+from batchfair.scenarios import build_scenario, scenario_names, sweep_scenario
 from batchfair.types import orders_digest
+from reference import serial_landings_checked
 
 
 def simulate(n=13, f=3, gamma=1, seed=42, rounds=24, txs=80, skew=0.3, crashes=True):
@@ -45,6 +46,54 @@ def test_concurrent_replay_matches_in_loop_with_parked_graphs(pool):
     )
     assert conc.emitted == res.pipeline.emitted
     assert orders_digest(conc.emitted) == orders_digest(res.pipeline.emitted)
+
+
+def test_concurrent_window_excludes_solid_digests_and_cuts_stale_snapshots(monkeypatch, pool):
+    res, cfg = simulate(seed=42, skew=0.3)
+    events = []  # ("extract", snapshot) and ("land", snapshot, its cut), in call order
+    extract, drop = pipeline.extract_snapshot, pipeline.drop_retained
+
+    def extracted(state, record, claimed=frozenset()):
+        events.append(("extract", extract(state, record, claimed)))
+        return events[-1][1]
+
+    def dropped(snap, proposed):
+        events.append(("land", snap, drop(snap, proposed)))
+        return events[-1][2]
+
+    monkeypatch.setattr(pipeline, "extract_snapshot", extracted)
+    monkeypatch.setattr(pipeline, "drop_retained", dropped)
+    conc = FairnessPipeline(cfg.n, cfg.f, cfg.gamma).replay_concurrent(
+        res.records, slots=2, pool=pool
+    )
+    assert conc.emitted == res.pipeline.emitted
+    inflight, claimed_any, retained = {}, False, set()
+    for event in events:
+        snap = event[1]
+        if event[0] == "extract":
+            for prior in inflight.values():
+                solid = {prior.admitted[i] for i in np.flatnonzero(prior.solid)}
+                assert solid.isdisjoint(snap.admitted), (prior.r, snap.r)
+                claimed_any |= bool(solid)
+            inflight[snap.r] = snap
+        else:
+            del inflight[snap.r]
+            # the cut drops only what an earlier subdag retained
+            assert set(snap.admitted) - set(event[2].admitted) <= retained
+            retained.update(next(e["k_digests"] for e in res.trace.events
+                                 if e["ev"] == "graph_built" and e["r"] == snap.r))
+    assert claimed_any
+    assert any(len(cut.admitted) < len(snap.admitted) for _, snap, cut in
+               (e for e in events if e[0] == "land"))
+
+
+def test_serial_landings_admit_nothing_retained_earlier():
+    for name in scenario_names():
+        for variant in build_scenario(name).variants or [{}]:
+            sc = build_scenario(name, **variant)
+            with serial_landings_checked() as landed:
+                res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+            assert landed == [rec.r for rec in res.records]
 
 
 class CountingExecutor:
@@ -205,8 +254,8 @@ def test_retained_digests_leave_every_per_author_structure():
     res, cfg = simulate(seed=42)
     pipe = FairnessPipeline(cfg.n, cfg.f, cfg.gamma)
     state = pipe.state
-    # every author-keyed container of digests (claims are keyed by subdag)
-    per_author = [v for k, v in vars(state).items() if isinstance(v, dict) and k != "claims"]
+    # every author-keyed container of digests
+    per_author = [v for v in vars(state).values() if isinstance(v, dict)]
     assert per_author
     for rec in res.records:
         pipe.on_commit(rec)  # lands the subdag: apply_result

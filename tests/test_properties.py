@@ -2,17 +2,19 @@
 
 These bypass the simulator entirely: random (including adversarially odd)
 per-author contribution streams go straight into the fairness pipeline, so
-claim/filter/truncation behavior is exercised on shapes the simulator would
+window/cut/truncation behavior is exercised on shapes the simulator would
 rarely produce (duplicate listings, empty subdags, single-author bursts).
 """
 
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from batchfair.graph import (
     CumulativeState,
     apply_result,
+    drop_retained,
     extract_snapshot,
     phase1_weights,
     phase2_build_graph,
@@ -21,6 +23,7 @@ from batchfair.graph import (
 from batchfair.oracle import serial_reference
 from batchfair.pipeline import FairnessPipeline
 from batchfair.types import DIRECT, CommitRecord, VertexRecord, tx_digest
+from reference import serial_landings_checked
 
 N, F = 5, 1
 GAMMA = Fraction(1)
@@ -107,20 +110,45 @@ def test_concurrent_matches_serial_on_random_streams(records, slots, pool):
 
 @settings(max_examples=50, deadline=None)
 @given(records=record_streams())
-def test_solid_retention_and_claim_subset(records):
-    # every snapshot solid lands in that subdag's K_r; claims minus what
-    # earlier subdags retained are always retained
+def test_serial_snapshots_admit_nothing_retained_earlier(records):
+    with serial_landings_checked() as landed:
+        FairnessPipeline(N, F, GAMMA).replay(records)
+    assert landed == [rec.r for rec in records]
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=record_streams(), slots=st.integers(1, 3))
+def test_solid_retention_and_claim_subset(records, slots):
+    # a window of `slots` snapshots extracted ahead of their landings, as in
+    # the concurrent replay: a new snapshot admits no solid digest of the
+    # window, a snapshot's solid digests not retained earlier land in its own
+    # K_r, and every K_r is the serial pipeline's
     state = CumulativeState(N, F, GAMMA)
-    tau_i = 2  # n(1-gamma)+f+1 at gamma=1
-    for rec in records:
-        snap = extract_snapshot(state, rec)
-        claim = state.claims[rec.r]
-        report = phase1_weights(snap)
-        graph = phase2_build_graph(report, state.proposed, tau_i)
+    window, k_sets = [], []
+
+    def land():
+        snap = window.pop(0)
+        solid = {snap.admitted[i] for i in np.flatnonzero(snap.solid)}
+        graph = phase2_build_graph(drop_retained(snap, state.proposed), state.tau_i)
         trunc, anchor, k_digests = phase3_anchor(graph)
-        assert claim - state.proposed <= set(k_digests)
-        assert report.solid - state.proposed <= set(k_digests)
-        apply_result(state, rec.r, k_digests)
+        assert solid - state.proposed <= set(k_digests)
+        apply_result(state, snap.r, k_digests)
+        k_sets.append(tuple(k_digests))
+
+    for rec in records:
+        claimed = {p.admitted[i] for p in window for i in np.flatnonzero(p.solid)}
+        snap = phase1_weights(extract_snapshot(state, rec, claimed))
+        assert claimed.isdisjoint(snap.admitted)
+        window.append(snap)
+        if len(window) >= slots:
+            land()
+    while window:
+        land()
+    serial = FairnessPipeline(N, F, GAMMA)
+    assert k_sets == [
+        next(e["k_digests"] for e in serial.on_commit(rec).events if e["ev"] == "graph_built")
+        for rec in records
+    ]
 
 
 def test_byzantine_double_listing_deduped():
@@ -141,4 +169,4 @@ def test_byzantine_double_listing_deduped():
     report = phase1_weights(snap)
     # support counts one per listing author: 3, not 4
     assert sum(order.count(0) for order in snap.orders.values()) == 3
-    assert report.admitted == [dg] and report.solid == frozenset({dg})
+    assert report.admitted == [dg] and report.solid.tolist() == [True]

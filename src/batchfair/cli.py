@@ -9,7 +9,7 @@ import sys
 from .harness import load_scenario_file, phase_profile, report_from_trace, run_scenario, sweep
 from .params import ConfigError
 from .scenarios import scenario_names
-from .trace import RunTrace
+from .trace import RunTrace, TraceError
 
 
 def _add_run(sub: argparse._SubParsersAction) -> None:
@@ -133,7 +133,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "check":
-        checked = report_from_trace(_read_trace(command, args.trace))
+        try:
+            checked = report_from_trace(_read_trace(command, args.trace))
+        except TraceError as exc:
+            command.error(f"{args.trace}: {exc}")
         print(f"[{args.trace}] digest={checked['emitted_digest']}")
         return 0 if _print_verdicts(checked["verdicts"]) else 1
 

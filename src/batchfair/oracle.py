@@ -1,11 +1,13 @@
 """Independent reference implementations and trace checkers.
 
 Everything here is deliberately written against different machinery than the
-pipeline modules. One kernel, ``_precedence``, counts for every check how
-many orders put one transaction before another: the serial reference's
-weights over each subdag's admitted set, the gamma-batch-order-fairness
-counts over the replicas' receive orders, and the Dist table's reported
-and honest counts. The pipeline's phase 1 (``graph.weight_counts``) applies
+pipeline modules. One kernel, ``_precedence``, counts how many orders put one
+transaction before another for the serial reference's weights over each
+subdag's admitted set and for the Dist table's reported and honest counts.
+The gamma-batch-order-fairness check builds no such matrix: it takes its
+candidates by inversion, the pairs that some receive order holds against
+batch order, and counts their supporters by brute force over every receive
+order. The pipeline's phase 1 (``graph.weight_counts``) applies
 the same comparison rule, but differently: it takes every author's order at
 once as integer indices into the admitted list, compares them in one
 broadcast per block of authors and sums in the smallest unsigned dtype that
@@ -25,9 +27,11 @@ are shared.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import ceil
 
 import numpy as np
@@ -58,6 +62,12 @@ def _precedence(orders: list[list[str]], txs: list[str]) -> np.ndarray:
         hi[held] = lo[held] = np.arange(len(held))
         p += hi[:, None] < lo[None, :]
     return p
+
+
+# bytes of one block of boolean comparisons when check_batch_of enumerates an
+# order's inversions, each flagged position against the positions before it;
+# the block's inversions, if every cell were one, take up to 16 bytes a cell
+CHECK_BLOCK_BYTES = 1 << 20
 
 
 def _tau_i(n: int, f: int, gamma) -> int:
@@ -306,27 +316,85 @@ def batch_ranks(emitted: list[FinalOrder]) -> dict[str, int]:
     return rank
 
 
+def _positions(order: list[str], idx: dict[str, int], t: int) -> np.ndarray:
+    """Each of the t transactions' position in one order that holds them all;
+    a transaction the order lists twice takes its last position."""
+    listed = np.array(list(map(idx.get, order, repeat(-1))), dtype=np.int32)
+    held = listed[listed >= 0]
+    pos = np.empty(t, dtype=np.int32)
+    pos[held] = np.arange(len(held), dtype=np.int32)
+    return pos
+
+
+def _inversions(seq: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (u, v) that the order seq (transaction indices, first
+    received first) holds with u first although b[u] > b[v], as arrays of
+    u and v, a block at a time.
+
+    A position q can start an inversion only if the running maximum of the
+    batch ranks before it exceeds its own rank. Only those rows are compared
+    against their prefix, as many at a time as CHECK_BLOCK_BYTES allows."""
+    r = b[seq]
+    rows = np.flatnonzero(r[1:] < np.maximum.accumulate(r)[:-1]) + 1
+    step = max(1, CHECK_BLOCK_BYTES // len(r))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        width = int(block[-1])  # rows ascend: the block's longest prefix
+        later = r[:width] > r[block, None]
+        later &= np.arange(width) < block[:, None]
+        q, p = np.nonzero(later)
+        yield seq[p], seq[block[q]]
+
+
 def check_batch_of(trace: RunTrace, emitted: list[FinalOrder], gamma) -> BatchOfReport:
-    """Brute force over all ordered pairs of transactions received by every
-    replica: if >= gamma*n replicas received u before v, u's emitted batch
-    must be no later than v's."""
-    need = int(ceil(Fraction(gamma) * trace.n_replicas()))
-    receive = trace.receive_orders()
-    common = set.intersection(*(set(o) for o in receive.values())) if receive else set()
-    all_txs = set().union(*(set(o) for o in receive.values())) if receive else set()
+    """Every ordered pair of transactions received by every replica: if >=
+    gamma*n replicas received u before v, u's emitted batch must be no later
+    than v's.
+
+    Candidates by inversion, supporters by brute force. A violating pair is
+    an inversion of batch order (u first, u's batch later) in at least need
+    receive orders, so, by pigeonhole, in at least one of any n - need + 1 of
+    them. The candidates are the inversions of the first n - need + 1
+    orders; each one's supporters are counted over all n orders from their
+    positions. No t x t array is built: the work follows the inversions."""
+    orders = list(trace.receive_orders().values())
+    common = set(orders[0]).intersection(*orders[1:]) if orders else set()
+    all_txs = set().union(*orders)
     skipped = len(all_txs) * (len(all_txs) - 1) // 2 - len(common) * (len(common) - 1) // 2
     rank = batch_ranks(emitted)
     txs = sorted(d for d in common if d in rank)
     t = len(txs)
     if t < 2:
         return BatchOfReport([], 0, skipped)
-    counts = _precedence(list(receive.values()), txs)
+    n = trace.n_replicas()
+    need = int(ceil(Fraction(gamma) * n))
+    if need < 1:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    idx = {d: i for i, d in enumerate(txs)}
     b = np.array([rank[d] for d in txs], dtype=np.int32)
-    bad = (counts >= need) & (b[:, None] > b[None, :])
-    violations = [
-        FairnessViolation(txs[u], txs[v], int(counts[u, v]), int(b[u]), int(b[v]))
-        for u, v in np.argwhere(bad)
-    ]
+    pos = None  # n x t, built at the first candidate
+    keys, supporters = [], []
+    for order in orders[: n - need + 1]:
+        seq = np.argsort(_positions(order, idx, t))
+        for u, v in _inversions(seq, b):
+            if not len(u):
+                continue
+            if pos is None:
+                pos = np.stack([_positions(o, idx, t) for o in orders])
+            count = np.zeros(len(u), dtype=np.int32)
+            for row in pos:
+                count += row[u] < row[v]
+            hit = count >= need
+            keys.append(u[hit] * t + v[hit])
+            supporters.append(count[hit])
+    violations = []
+    if keys:
+        key, first = np.unique(np.concatenate(keys), return_index=True)
+        count = np.concatenate(supporters)[first]
+        violations = [
+            FairnessViolation(txs[u], txs[v], c, int(b[u]), int(b[v]))
+            for u, v, c in zip((key // t).tolist(), (key % t).tolist(), count.tolist())
+        ]
     return BatchOfReport(violations, t * (t - 1) // 2, skipped)
 
 

@@ -9,18 +9,55 @@ from pathlib import Path
 
 from .types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord
 
-# event kinds that must be bit-identical across runs of the same config;
-# graph_profile carries wall-clock nanoseconds and is excluded
-DETERMINISTIC_EVENTS = (
-    "tx_received",
-    "vertex_created",
-    "certificate_formed",
-    "subdag_committed",
-    "vote_cast",
-    "order_emitted",
-    "graph_built",
-    "graph_parked",
-)
+# event kinds that must be bit-identical across runs of the same config, each
+# with the keys it carries besides "ev"; graph_profile carries wall-clock
+# nanoseconds and is excluded
+DETERMINISTIC_EVENTS = {
+    "tx_received": ("t", "replica", "tx", "loi", "src"),
+    "vertex_created": ("t", "replica", "round", "vid", "parents", "entries", "votes"),
+    "certificate_formed": ("t", "replica", "round", "vid", "attestors"),
+    "subdag_committed": ("t", "replica", "r", "leader", "vertices", "wave"),
+    "vote_cast": ("t", "replica", "target_r", "edges"),
+    "order_emitted": ("t", "replica", "r", "digests", "batches"),
+    "graph_built": ("t", "replica", "r", "v", "m", "anchor", "k", "k_digests"),
+    "graph_parked": ("t", "replica", "r", "pairs"),
+}
+# the kinds whose "replica" names a replica; in the others it is None
+REPLICA_EVENTS = frozenset(("tx_received", "vertex_created", "certificate_formed", "vote_cast"))
+
+
+class TraceError(ValueError):
+    """A trace that does not hold together, with the line or event at fault."""
+
+
+def _event_problem(ev: dict, n: int) -> str | None:
+    """What keeps one read-back event from being read by the views, if anything."""
+    keys = DETERMINISTIC_EVENTS.get(ev["ev"], ())
+    missing = [k for k in keys if k not in ev]
+    if missing:
+        return f"{ev['ev']} event lacks {', '.join(missing)}"
+    if ev["ev"] in REPLICA_EVENTS:
+        replica = ev["replica"]
+        if type(replica) is not int or not 0 <= replica < n:
+            return f"{ev['ev']} replica {replica!r} is not in [0, {n})"
+    return None
+
+
+def _batch_spans(ev: dict) -> tuple[tuple[int, int], ...]:
+    """An order_emitted event's batches, which must tile its digests in order."""
+    spans = tuple(map(tuple, ev["batches"]))
+    end = 0
+    for span in spans:  # each span starts where the one before it ended
+        if len(span) != 2 or any(type(x) is not int for x in span) or not span[0] == end < span[1]:
+            break
+        end = span[1]
+    else:  # no span broke the tiling: it must end at the last digest
+        if end == len(ev["digests"]):
+            return spans
+    raise TraceError(
+        f"order_emitted r={ev['r']}: batches {ev['batches']!r} do not tile "
+        f"its {len(ev['digests'])} digests"
+    )
 
 
 @dataclass
@@ -39,25 +76,36 @@ class RunTrace:
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "RunTrace":
         """Read a trace that write_jsonl wrote. A line that is not a JSON
-        object with an "ev" key raises ValueError("PATH:LINE: ..."); a file
-        with no meta line carrying the run's config raises ValueError too."""
+        object with an "ev" key, and a deterministic event that lacks one of
+        its kind's keys or names a replica outside [0, n), raise
+        TraceError("PATH:LINE: ..."); a file with no meta line carrying the
+        run's config, with an integer n, raises TraceError too."""
         meta: dict = {}
         events: list[dict] = []
+        lines: list[int] = []
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 try:
                     doc = json.loads(line)
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
+                    raise TraceError(f"{path}:{lineno}: not JSON: {exc}") from None
                 if not isinstance(doc, dict) or "ev" not in doc:
-                    raise ValueError(f'{path}:{lineno}: not a trace event (no "ev" key)')
+                    raise TraceError(f'{path}:{lineno}: not a trace event (no "ev" key)')
                 if doc["ev"] == "meta":
                     doc.pop("ev")
                     meta = doc
                 else:
                     events.append(doc)
-        if "config" not in meta:
-            raise ValueError(f"{path}: no meta line carrying the run's config")
+                    lines.append(lineno)
+        if not isinstance(meta.get("config"), dict):
+            raise TraceError(f"{path}: no meta line carrying the run's config")
+        n = meta["config"].get("n")
+        if type(n) is not int:
+            raise TraceError(f"{path}: the run's config has n {n!r}, not an integer")
+        for lineno, ev in zip(lines, events):
+            problem = _event_problem(ev, n)
+            if problem:
+                raise TraceError(f"{path}:{lineno}: {problem}")
         return cls(meta, events)
 
     def deterministic_view(self) -> list[dict]:
@@ -106,7 +154,14 @@ class RunTrace:
         verts = {e["vid"]: e for e in self.events if e["ev"] == "vertex_created"}
         for e in self.events:
             if e["ev"] == "subdag_committed":
-                yield e, [verts[vid] for vid in e["vertices"]]
+                try:
+                    vertices = [verts[vid] for vid in e["vertices"]]
+                except KeyError as exc:
+                    raise TraceError(
+                        f"subdag_committed r={e['r']} lists vertex {exc.args[0]!r}, "
+                        "which no vertex_created event made"
+                    ) from None
+                yield e, vertices
 
     def commit_records(self) -> list[CommitRecord]:
         """Reassemble the committed-subdag stream the fairness layer consumed.
@@ -130,7 +185,7 @@ class RunTrace:
 
     def emitted_orders(self) -> list[FinalOrder]:
         return [
-            FinalOrder(e["r"], tuple(e["digests"]), tuple(map(tuple, e["batches"])))
+            FinalOrder(e["r"], tuple(e["digests"]), _batch_spans(e))
             for e in self.events if e["ev"] == "order_emitted"
         ]
 

@@ -477,13 +477,31 @@ def test_cli_check_reruns_the_verdicts_of_a_stored_trace(tmp_path, capsys):
     assert "serial_equivalence       FAIL" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def trace_events(tmp_path_factory):
+    """The events of a real run's trace, as read back from its JSONL lines."""
+    _report, res = execute_scenario(build_scenario("condorcet_minimal"), serial=True)
+    path = tmp_path_factory.mktemp("run") / "trace.jsonl"
+    res.trace.write_jsonl(path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_edited(path, events, kind, edit):
+    """Write events as a trace with the first event of one kind edited."""
+    events = [dict(ev) for ev in events]
+    edit(next(ev for ev in events if ev["ev"] == kind))
+    path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "case",
     ["unknown-scenario", "infeasible-config", "config-not-json", "config-missing",
      "config-any-suffix", "scenario-and-config", "seed-with-config", "check-not-a-trace", "check-line-cut", "check-no-meta", "check-missing",
-     "profile-not-a-trace"],
+     "check-replica-out-of-range", "check-event-lacks-key", "check-dangling-vid",
+     "check-batch-span", "profile-not-a-trace"],
 )
-def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
+def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, trace_events, case):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"n": 5, "f": 2}))
     (tmp_path / "doc.cfg").write_text(doc.read_text())
@@ -510,6 +528,23 @@ def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, case):
         "check-no-meta": (["check", str(tmp_path / "bare.jsonl")],
                           "bare.jsonl: no meta line carrying the run's config"),
         "check-missing": (["check", str(tmp_path / "none.jsonl")], "No such file or directory"),
+        # valid JSON whose events do not hold together, one event edited
+        "check-replica-out-of-range": (
+            ["check", write_edited(tmp_path / "replica.jsonl", trace_events, "tx_received",
+                                   lambda ev: ev.update(replica=99))],
+            "tx_received replica 99 is not in [0, 3)"),
+        "check-event-lacks-key": (
+            ["check", write_edited(tmp_path / "lacks.jsonl", trace_events, "tx_received",
+                                   lambda ev: ev.pop("tx"))],
+            "tx_received event lacks tx"),
+        "check-dangling-vid": (
+            ["check", write_edited(tmp_path / "vid.jsonl", trace_events, "subdag_committed",
+                                   lambda ev: ev.update(vertices=["nope", *ev["vertices"]]))],
+            "lists vertex 'nope', which no vertex_created event made"),
+        "check-batch-span": (
+            ["check", write_edited(tmp_path / "span.jsonl", trace_events, "order_emitted",
+                                   lambda ev: ev.update(batches=[[0]]))],
+            "batches [[0]] do not tile"),
         "profile-not-a-trace": (["profile", str(doc)], f"{doc}:1: not a trace event"),
     }[case]
     with pytest.raises(SystemExit) as exit_:

@@ -1,5 +1,6 @@
 import ast
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -18,6 +19,7 @@ from batchfair.adversaries import (
 )
 from batchfair.dagsim import Simulator
 from batchfair.oracle import (
+    FairnessViolation,
     _precedence,
     check_batch_of,
     check_loi_monotone,
@@ -26,11 +28,12 @@ from batchfair.oracle import (
     serial_reference,
 )
 from batchfair.params import SimConfig
+from batchfair.scenarios import sweep_scenario
 from batchfair.trace import RunTrace
 from batchfair.types import (
     DIRECT, CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest,
 )
-from reference import reachability_scc
+from reference import reachability_scc, reference_check_batch_of
 
 
 def d(name) -> str:
@@ -148,6 +151,70 @@ def test_gamma_threshold_counts_exactly():
     assert check_batch_of(trace, bad, 1).ok  # gamma=1 needs all 3
     rep = check_batch_of(trace, bad, Fraction(2, 3))
     assert len(rep.violations) == 1 and rep.violations[0].supporters == 2
+
+
+@st.composite
+def batch_of_cases(draw):
+    """A trace with partial receipt and an emitted order with planted swaps.
+
+    Each replica receives a shared base order with a few swaps of its own,
+    missing up to two transactions; the emitted order is the base order with
+    swaps of its own, missing up to two transactions, cut at random into
+    batches and the batches into subdags."""
+    n = draw(st.integers(1, 9))
+    gamma = draw(st.sampled_from(
+        [Fraction(1), Fraction(4, 5), Fraction(2, 3), Fraction(3, 5), Fraction(1, 2)]))
+    t = draw(st.integers(0, 12))
+    base = draw(st.permutations(range(t)))
+
+    def swapped(order):
+        order = list(order)
+        for _ in range(draw(st.integers(0, 3)) if len(order) > 1 else 0):
+            i, j = draw(st.integers(0, len(order) - 1)), draw(st.integers(0, len(order) - 1))
+            order[i], order[j] = order[j], order[i]
+        return order
+
+    def missing():
+        return draw(st.sets(st.sampled_from(base), max_size=2)) if t else set()
+
+    receive = {}
+    for rep in range(n):
+        lost = missing()
+        receive[rep] = [d(i) for i in swapped(base) if i not in lost]
+    dropped = missing()
+    digests = [d(i) for i in swapped(base) if i not in dropped]
+    emitted, held, spans = [], [], []
+    for k, digest in enumerate(digests):
+        held.append(digest)
+        last = k == len(digests) - 1
+        if last or draw(st.booleans()):  # a batch ends here
+            spans.append((spans[-1][1] if spans else 0, len(held)))
+            if last or draw(st.booleans()):  # and so does the subdag
+                emitted.append(FinalOrder(len(emitted) + 1, tuple(held), tuple(spans)))
+                held, spans = [], []
+    return synthetic_trace(n, receive), emitted, gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_of_cases())
+def test_check_batch_of_matches_full_matrix_reference(case):
+    trace, emitted, gamma = case
+    assert check_batch_of(trace, emitted, gamma) == reference_check_batch_of(trace, emitted, gamma)
+
+
+def test_check_batch_of_memory_follows_inversions():
+    """A 2,400-transaction constant-load run: the full matrix would hold
+    2,878,800 pairs (22.6 MiB peak); the check stays far below it."""
+    sc = sweep_scenario(13, 0, 1, 3, txs=2400, rounds=40)
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    tracemalloc.start()
+    try:
+        rep = check_batch_of(res.trace, res.pipeline.emitted, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.pairs_checked == 2_878_800
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # -- check_single_graph ----------------------------------------------------------------
@@ -278,6 +345,7 @@ def test_gamma_lt_1_cross_graph_corner_documented():
     res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
     rep = check_batch_of(res.trace, res.pipeline.emitted, sc.config.gamma)
     assert len(rep.violations) == 1  # the strict checker flags the corner
+    assert rep == reference_check_batch_of(res.trace, res.pipeline.emitted, sc.config.gamma)
     u, v = rep.violations[0].first, rep.violations[0].second
     # weak-preference digraph: x -> y when >= n(1-gamma)+1 replicas receive x
     # before y (the weakest edge strength a cycle construction could use)
@@ -305,6 +373,23 @@ def test_gamma_lt_1_cross_graph_corner_documented():
     ro = res.trace.receive_orders()
     prefer_u = sum(1 for i in ro if ro[i].index(u) < ro[i].index(v))
     assert prefer_u == 4 < n
+
+
+def test_gamma_lt_1_seed_25_violation_pinned():
+    """ROADMAP item 2's open instance at gamma = 4/5 with skew: 4 of 5
+    replicas received u before v, yet u's batch (72) follows v's (71). Both
+    checkers report exactly this one violation, whichever way the
+    definition later settles it."""
+    sc = sweep_scenario(5, 0, Fraction(4, 5), 25, skew_p=0.2)
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    want = [FairnessViolation(
+        "1d1c75523f84989e227fd6959fbe3986455f81c1f64780761d8577450fe44f5f",
+        "4f06e7d6ac0b1d5652f5f4664278068884d17eba44c4a4837b62e8796a7213ca",
+        4, 72, 71,
+    )]
+    for check in (check_batch_of, reference_check_batch_of):
+        rep = check(res.trace, res.pipeline.emitted, sc.config.gamma)
+        assert rep.violations == want and rep.pairs_checked == 4005
 
 
 def test_oracle_module_shares_no_pipeline_code():

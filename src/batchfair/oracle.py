@@ -1,32 +1,34 @@
 """Independent reference implementations and trace checkers.
 
 Everything here is deliberately written against different machinery than the
-pipeline modules. One kernel, ``_precedence``, counts how many orders put one
-transaction before another for the serial reference's weights over each
-subdag's admitted set and for the Dist table's reported and honest counts.
-The gamma-batch-order-fairness check builds no such matrix: it takes its
-candidates by inversion, the pairs that some receive order holds against
-batch order, and counts their supporters by brute force over every receive
-order. The pipeline's phase 1 (``graph.weight_counts``) applies
-the same comparison rule, but differently: it takes every author's order at
-once as integer indices into the admitted list, compares them in one
-broadcast per block of authors and sums in the smallest unsigned dtype that
-holds the author count, while ``_precedence`` maps digests itself, takes one
-order at a time and adds into int16. The two share the rule, not code. The
-pure-Python ``reference_weight_counts`` in the tests, one increment per
-listed pair, remains the independent check of the pipeline's counts. The serial
-reference finds SCCs from a Warshall reachability closure over a boolean
-adjacency matrix and replays votes from the recorded stream with per-author
-edge counts. Pair evidence and the per-pair vote tallies are built from the
-kept arrays only when asked for. The LOI checker walks per-replica LOI
-lists. The checks keep few GC-tracked objects alive, so they rarely start a
-collection, which would scan the whole run's trace. Only the domain types
-are shared.
+pipeline modules. One kernel, ``_precedence_of``, counts how many orders put
+one transaction before another for the serial reference's weights over each
+subdag's admitted set and, through ``_precedence``, for the Dist table's
+reported and honest counts. The gamma-batch-order-fairness check builds no
+such matrix: it takes its candidates by inversion, the pairs that some
+receive order holds against batch order, and counts their supporters by
+brute force over every receive order. The pipeline's phase 1
+(``graph.weight_counts``) applies the same comparison rule, but differently:
+it takes every author's order at once as integer indices into the admitted
+list, compares them in one broadcast per block of authors and sums in the
+smallest unsigned dtype that holds the author count, while
+``_precedence_of`` takes one order at a time, compares ranks and adds into
+int16. The two share the rule, not code. The pure-Python
+``reference_weight_counts`` in the tests, one increment per listed pair,
+remains the independent check of the pipeline's counts. The serial
+reference ranks every digest of the stream once and keeps each author's
+pending list as an array of ranks. It finds SCCs from a reachability closure
+by repeated squaring of a boolean adjacency matrix, and it replays votes from
+the recorded stream through one authors x 2P edge-count matrix per parked
+subdag with P missing pairs. Pair evidence and the per-pair vote tallies are
+built from the kept arrays only when asked for. The LOI checker walks
+per-replica LOI lists. The checks keep few GC-tracked objects alive, so they
+rarely start a collection, which would scan the whole run's trace. Only the
+domain types are shared.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,25 +45,29 @@ from .types import CommitRecord, FinalOrder
 # -- counting primitives (oracle-side) --------------------------------------------
 
 
-def _precedence(orders: list[list[str]], txs: list[str]) -> np.ndarray:
-    """P[a, b] = number of orders holding both txs[a] and txs[b] with txs[a]
-    first; each order lists a transaction at most once.
+def _precedence_of(orders: list[np.ndarray], t: int) -> np.ndarray:
+    """P[a, b] = number of orders holding both a and b with a first, for
+    orders given as distinct indices in [0, t).
 
     A transaction the order lacks gets rank t in ``hi`` and -1 in ``lo``, so
     the one comparison per order, hi[a] < lo[b], holds only when the order
-    holds both, txs[a] first."""
-    t = len(txs)
-    idx = {d: i for i, d in enumerate(txs)}
+    holds both, a first."""
     p = np.zeros((t, t), dtype=np.int16)
     hi = np.empty(t, dtype=np.int32)
     lo = np.empty(t, dtype=np.int32)
-    for order in orders:
-        held = [idx[d] for d in order if d in idx]
+    for held in orders:
         hi.fill(t)
         lo.fill(-1)
         hi[held] = lo[held] = np.arange(len(held))
         p += hi[:, None] < lo[None, :]
     return p
+
+
+def _precedence(orders: list[list[str]], txs: list[str]) -> np.ndarray:
+    """P[a, b] = number of orders holding both txs[a] and txs[b] with txs[a]
+    first; each order lists a transaction at most once."""
+    idx = {d: i for i, d in enumerate(txs)}
+    return _precedence_of([[idx[d] for d in order if d in idx] for order in orders], len(txs))
 
 
 # bytes of one block of boolean comparisons when check_batch_of enumerates an
@@ -81,35 +87,49 @@ def _tau_i(n: int, f: int, gamma) -> int:
 def _condensation(adj: np.ndarray) -> list[np.ndarray]:
     """SCCs of a boolean adjacency matrix, in canonical condensation order.
 
-    The reflexive-transitive closure comes from Warshall's algorithm, one
-    vectorized row update per intermediate node. Two nodes share an SCC when
-    each reaches the other. Canonical order: Kahn's algorithm over the
-    condensation, ties broken by the smallest member index. Each SCC is its
-    member indices in ascending order.
+    The reflexive-transitive closure comes from repeated squaring: reach =
+    reach @ reach until it stops changing, ceil(log2 diameter) + 1 products.
+    The products are taken in float32, and a cell is reached when its sum is
+    positive, which is exact: a sum of non-negative terms never rounds to
+    zero. Two nodes share an SCC when each reaches the other. Canonical
+    order: Kahn's algorithm over the condensation, ties broken by the
+    smallest member index. A component is ready once every component that
+    reaches it is done, which is the same as once its direct predecessors
+    are, since the done set is always closed under predecessors. Each SCC is
+    its member indices in ascending order.
     """
     m = len(adj)
     if m == 0:
         return []
     reach = adj | np.eye(m, dtype=bool)
-    for k in range(m):
-        reach |= reach[:, k, None] & reach[k]
+    while True:
+        r = reach.astype(np.float32)
+        wider = (r @ r) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
     # the smallest index in each node's SCC labels it; labels ascend with comp
     root = (reach & reach.T).argmax(axis=1)
     roots, comp_of = np.unique(root, return_inverse=True)
-    c = len(roots)
-    cadj = np.zeros((c, c), dtype=bool)
-    src, dst = np.nonzero(adj)
-    cadj[comp_of[src], comp_of[dst]] = True
-    np.fill_diagonal(cadj, False)
-    indeg = cadj.sum(axis=0)
-    done = np.zeros(c, dtype=bool)
+    creach = reach[np.ix_(roots, roots)]
+    waiting = creach.sum(axis=0) - 1  # the other components that reach each one
+    done = np.zeros(len(roots), dtype=bool)
     order: list[int] = []
-    for _ in range(c):
-        k = int(np.argmax((indeg == 0) & ~done))  # smallest ready component
+    for _ in range(len(roots)):
+        k = int(np.argmax((waiting == 0) & ~done))  # smallest ready component
         done[k] = True
         order.append(k)
-        indeg[cadj[k]] -= 1
+        waiting[creach[k]] -= 1
     return [np.flatnonzero(comp_of == k) for k in order]
+
+
+def _anchored(sccs: list[np.ndarray], solid: np.ndarray) -> list[np.ndarray]:
+    """The SCCs, in canonical order, up to the last one holding a solid node.
+
+    They are a prefix of a topological order, so closed under predecessors:
+    the subgraph they induce has these SCCs in this same canonical order."""
+    last = max((j for j, scc in enumerate(sccs, 1) if solid[scc].any()), default=0)
+    return sccs[:last]
 
 
 # -- serial reference -------------------------------------------------------------
@@ -166,17 +186,34 @@ class SerialOutcome:
         return out
 
 
+def _vote_counts(cast: list[tuple], pairs: list[tuple[str, str]]) -> np.ndarray:
+    """One row per vote, 2P columns for the P pairs (u, v): column j counts
+    the vote's u->v edges of pairs[j], column P + j its v->u edges. An edge
+    listed twice counts twice; an edge of no pair counts nowhere."""
+    p = len(pairs)
+    col = {pair: j for j, pair in enumerate(pairs)}
+    col.update({(v, u): p + j for j, (u, v) in enumerate(pairs)})
+    cells = np.array(
+        [row * 2 * p + j for row, edges in enumerate(cast)
+         for j in map(col.get, edges) if j is not None],
+        dtype=np.intp,
+    )
+    return np.bincount(cells, minlength=len(cast) * 2 * p).reshape(len(cast), 2 * p)
+
+
 def _first_sufficient_prefix(
-    counts: list[Counter], pairs: list[tuple[str, str]], start: int, tau_i: int
+    counts: np.ndarray, start: int, tau_i: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Tally each pair over the first k vote authors, for the smallest k >=
     start at which every pair has one direction at tau_i or above: returns
     the (u->v, v->u) tallies at that k, or None if no prefix suffices.
-    Duplicate edges inside one vote count each time; start >= 1."""
+    counts holds one row per author (see _vote_counts), so duplicate edges
+    inside one vote count each time; start >= 1."""
     if len(counts) < start:
         return None
-    fwd = np.array([[c.get((u, v), 0) for u, v in pairs] for c in counts]).cumsum(axis=0)
-    rev = np.array([[c.get((v, u), 0) for u, v in pairs] for c in counts]).cumsum(axis=0)
+    p = counts.shape[1] // 2
+    tally = counts.cumsum(axis=0)
+    fwd, rev = tally[:, :p], tally[:, p:]
     enough = np.flatnonzero((np.maximum(fwd, rev) >= tau_i).all(axis=1)[start - 1:])
     if not len(enough):
         return None
@@ -188,12 +225,18 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
     """Serial execution of the fairness layer: each subdag's task completes,
     including vote resolution, before the next subdag is touched.
 
-    Votes are replayed from the committed stream (scanning forward when a
-    graph parks). Emits the same total order as the concurrent pipeline.
+    Every digest of the stream is ranked by digest once, and each author's
+    pending list is an array of ranks, so support is one count over all of
+    them and the admitted ranks ascend by digest. Votes are replayed from
+    the committed stream (scanning forward when a graph parks). Emits the
+    same total order as the concurrent pipeline.
     """
     tau_i = _tau_i(n, f, gamma)
     tau_s = n - 2 * f
-    pending: dict[int, list[str]] = {}
+    names = sorted({d for rec in records for vr in rec.vertices for _k, d, _l in vr.entries})
+    rank = {d: i for i, d in enumerate(names)}
+    no_ranks = np.empty(0, dtype=np.intp)
+    pending: dict[int, np.ndarray] = {}  # author -> ranks, in report order
     seen: dict[int, set[str]] = {}
     proposed: set[str] = set()
     # precollect the vote stream in commit order, first vote per (author,
@@ -214,68 +257,74 @@ def serial_reference(records: list[CommitRecord], n: int, f: int, gamma) -> Seri
     stopped = None
 
     for rec in records:
+        new: dict[int, list[int]] = {}
         for vr in rec.vertices:
-            lst = pending.setdefault(vr.author, [])
+            lst = new.setdefault(vr.author, [])
             s = seen.setdefault(vr.author, set())
             for _kind, digest, _loi in vr.entries:
                 if digest in proposed or digest in s:
                     continue
                 s.add(digest)
-                lst.append(digest)
-        support: dict[str, int] = {}
-        for author in pending:
-            for d in pending[author]:
-                support[d] = support.get(d, 0) + 1
-        admitted = sorted(d for d, c in support.items() if c >= tau_i)
+                lst.append(rank[digest])
+        for author, lst in new.items():
+            pending[author] = np.concatenate(
+                (pending.get(author, no_ranks), np.array(lst, np.intp))
+            )
+        support = np.bincount(np.concatenate((no_ranks, *pending.values())), minlength=len(names))
+        ranks = np.flatnonzero(support >= tau_i)
+        admitted = [names[i] for i in ranks.tolist()]
         m = len(admitted)
-        solid = np.array([support[d] >= tau_s for d in admitted], dtype=bool)
-        w = _precedence([pending[author] for author in sorted(pending)], admitted)
+        solid = support[ranks] >= tau_s
+        local = np.full(len(names), -1, dtype=np.intp)
+        local[ranks] = np.arange(m)
+        held = [local[lst] for lst in pending.values()]
+        w = _precedence_of([h[h >= 0] for h in held], m)
         weights.append((admitted, w))
         # an edge needs one direction at tau; it points the heavier way, and a
         # tie points from the smaller digest (row index u < v)
-        upper = np.triu(np.ones((m, m), dtype=bool), k=1)
         strong = (w >= tau_i) | (w.T >= tau_i)
-        adj = strong & ((w > w.T) | ((w == w.T) & upper))
-        sccs = _condensation(adj)
-        anchor = 0
-        for j, scc in enumerate(sccs, 1):
-            if solid[scc].any():
-                anchor = j
-        keep = np.sort(np.concatenate(sccs[:anchor])) if anchor else np.empty(0, np.intp)
+        adj = strong & ((w > w.T) | ((w == w.T) & np.triu(np.ones((m, m), dtype=bool), k=1)))
+        sccs = _anchored(_condensation(adj), solid)
+        keep = np.sort(np.concatenate(sccs)) if sccs else no_ranks
         retained = [admitted[i] for i in keep.tolist()]  # sorted, as admitted is
-        for d in retained:
-            graphed_in[d] = rec.r
-        retained_set = set(retained)
-        proposed |= retained_set
-        for author in pending:
-            pending[author] = [d for d in pending[author] if d not in retained_set]
+        graphed_in.update(dict.fromkeys(retained, rec.r))
+        proposed.update(retained)
+        cut = np.zeros(len(names), dtype=bool)
+        cut[ranks[keep]] = True
+        for author, lst in pending.items():
+            pending[author] = lst[~cut[lst]]
         sub = np.ix_(keep, keep)
-        kept_adj = adj[sub]
-        mu, mv = np.nonzero(upper[sub] & ~strong[sub])
-        live_missing = [(retained[u], retained[v]) for u, v in zip(mu.tolist(), mv.tolist())]
-        if live_missing:
+        mu, mv = np.nonzero(np.triu(~strong[sub], k=1))
+        if len(mu):
             by_author = votes_for.get(rec.r, {})
-            counts = [Counter(edges) for edges in by_author.values()]
-            resolved = _first_sufficient_prefix(counts, live_missing, n - f, tau_i)
+            counts = _vote_counts(
+                list(by_author.values()),
+                [(retained[u], retained[v]) for u, v in zip(mu.tolist(), mv.tolist())],
+            )
+            resolved = _first_sufficient_prefix(counts, n - f, tau_i)
             if resolved is None:
                 stopped = rec.r
                 break
             a, b = resolved
             votes.append((retained, mu, mv, a, b))
+            kept_adj = adj[sub]
             forward = a >= b
             kept_adj[mu[forward], mv[forward]] = True
             kept_adj[mv[~forward], mu[~forward]] = True
             # sanity: every honest vote should cover exactly the missing set
-            missing_set = set(live_missing)
-            for author, c in zip(by_author, counts):
-                covered = {(x, y) if x <= y else (y, x) for x, y in c}
-                if not missing_set <= covered:
-                    mismatches.append({"r": rec.r, "author": author})
+            p = len(mu)
+            covers = (counts[:, :p] + counts[:, p:] > 0).all(axis=1)
+            mismatches.extend(
+                {"r": rec.r, "author": author}
+                for author, ok in zip(by_author, covers.tolist()) if not ok
+            )
+            sccs = [keep[scc] for scc in _condensation(kept_adj)]
+        # with no vote edge the anchored SCCs already are the kept graph's
         digests: list[str] = []
         batches: list[tuple[int, int]] = []
-        for scc in _condensation(kept_adj):
+        for scc in sccs:
             start = len(digests)
-            digests.extend(retained[i] for i in scc.tolist())
+            digests.extend(admitted[i] for i in scc.tolist())
             batches.append((start, len(digests)))
         orders.append(FinalOrder(rec.r, tuple(digests), tuple(batches)))
     return SerialOutcome(orders, stopped, graphed_in, weights, votes, mismatches)

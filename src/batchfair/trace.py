@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .types import CommitRecord, FairUpdateVote, FinalOrder, VertexRecord
@@ -24,10 +25,55 @@ DETERMINISTIC_EVENTS = {
 }
 # the kinds whose "replica" names a replica; in the others it is None
 REPLICA_EVENTS = frozenset(("tx_received", "vertex_created", "certificate_formed", "vote_cast"))
+# the shape, as JSON holds it, of each value the views unpack: "int" or "str",
+# a tuple of shapes for a list of that length, a dict of shapes for an object
+# with those keys, and a list of one shape for a list of any length
+VALUE_SHAPES = {
+    "tx_received": {"tx": "str"},
+    "vertex_created": {
+        "round": "int",
+        "vid": "str",
+        "entries": [("str", "str", "int")],  # (kind, digest, loi)
+        "votes": [{"author": "int", "r": "int", "edges": [("str", "str")]}],  # (from, to)
+    },
+    "subdag_committed": {"r": "int", "leader": "str", "vertices": ["str"]},
+    "order_emitted": {"r": "int", "digests": ["str"], "batches": [["int"]]},
+    "graph_built": {"r": "int", "k_digests": ["str"]},
+}
 
 
 class TraceError(ValueError):
     """A trace that does not hold together, with the line or event at fault."""
+
+
+def _misfit(value, shape) -> tuple | None:
+    """The first part of value, with its shape, that does not have the shape
+    it should (see VALUE_SHAPES); None if every part does."""
+    if isinstance(shape, str):
+        return None if type(value) is (int if shape == "int" else str) else (value, shape)
+    if isinstance(shape, dict):
+        if type(value) is not dict or not shape.keys() <= value.keys():
+            return value, shape
+        parts = [(value[key], item) for key, item in shape.items()]
+    elif type(value) is not list or isinstance(shape, tuple) and len(value) != len(shape):
+        return value, shape
+    else:
+        parts = zip(value, shape) if isinstance(shape, tuple) else zip(value, repeat(shape[0]))
+    for part, item in parts:
+        bad = _misfit(part, item)
+        if bad:
+            return bad
+    return None
+
+
+def _shape_name(shape) -> str:
+    if isinstance(shape, str):
+        return shape
+    if isinstance(shape, dict):
+        return "{" + ", ".join(f"{key}: {_shape_name(item)}" for key, item in shape.items()) + "}"
+    if isinstance(shape, tuple):
+        return "[" + ", ".join(map(_shape_name, shape)) + "]"
+    return f"[{_shape_name(shape[0])}, ...]"
 
 
 def _event_problem(ev: dict, n: int) -> str | None:
@@ -40,6 +86,12 @@ def _event_problem(ev: dict, n: int) -> str | None:
         replica = ev["replica"]
         if type(replica) is not int or not 0 <= replica < n:
             return f"{ev['ev']} replica {replica!r} is not in [0, {n})"
+    for key, shape in VALUE_SHAPES.get(ev["ev"], {}).items():
+        bad = _misfit(ev[key], shape)
+        if bad:
+            part = repr(bad[0])
+            part = part if len(part) <= 60 else part[:57] + "..."
+            return f"{ev['ev']} {key}: {part} is not {_shape_name(bad[1])}"
     return None
 
 
@@ -48,7 +100,7 @@ def _batch_spans(ev: dict) -> tuple[tuple[int, int], ...]:
     spans = tuple(map(tuple, ev["batches"]))
     end = 0
     for span in spans:  # each span starts where the one before it ended
-        if len(span) != 2 or any(type(x) is not int for x in span) or not span[0] == end < span[1]:
+        if len(span) != 2 or not span[0] == end < span[1]:
             break
         end = span[1]
     else:  # no span broke the tiling: it must end at the last digest
@@ -77,9 +129,11 @@ class RunTrace:
     def read_jsonl(cls, path: str | Path) -> "RunTrace":
         """Read a trace that write_jsonl wrote. A line that is not a JSON
         object with an "ev" key, and a deterministic event that lacks one of
-        its kind's keys or names a replica outside [0, n), raise
-        TraceError("PATH:LINE: ..."); a file with no meta line carrying the
-        run's config, with an integer n, raises TraceError too."""
+        its kind's keys, names a replica outside [0, n) or holds a value
+        that the views unpack in another shape than VALUE_SHAPES gives,
+        raise TraceError("PATH:LINE: ..."); a file with no meta line
+        carrying the run's config, with an integer n, raises TraceError
+        too. A trace built in memory is not checked."""
         meta: dict = {}
         events: list[dict] = []
         lines: list[int] = []

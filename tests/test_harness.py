@@ -499,7 +499,8 @@ def write_edited(path, events, kind, edit):
     ["unknown-scenario", "infeasible-config", "config-not-json", "config-missing",
      "config-any-suffix", "scenario-and-config", "seed-with-config", "check-not-a-trace", "check-line-cut", "check-no-meta", "check-missing",
      "check-replica-out-of-range", "check-event-lacks-key", "check-dangling-vid",
-     "check-batch-span", "profile-not-a-trace"],
+     "check-batch-span", "check-batches-not-a-list", "check-vertices-not-a-list",
+     "check-k-digests-not-a-list", "check-entry-not-a-triple", "profile-not-a-trace"],
 )
 def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, trace_events, case):
     doc = tmp_path / "doc.json"
@@ -545,6 +546,23 @@ def test_cli_input_errors_exit_2_with_one_error_line(tmp_path, capsys, trace_eve
             ["check", write_edited(tmp_path / "span.jsonl", trace_events, "order_emitted",
                                    lambda ev: ev.update(batches=[[0]]))],
             "batches [[0]] do not tile"),
+        # the right keys with values of the wrong shape
+        "check-batches-not-a-list": (
+            ["check", write_edited(tmp_path / "batches.jsonl", trace_events, "order_emitted",
+                                   lambda ev: ev.update(batches=5))],
+            "order_emitted batches: 5 is not [[int, ...], ...]"),
+        "check-vertices-not-a-list": (
+            ["check", write_edited(tmp_path / "vertices.jsonl", trace_events, "subdag_committed",
+                                   lambda ev: ev.update(vertices=5))],
+            "subdag_committed vertices: 5 is not [str, ...]"),
+        "check-k-digests-not-a-list": (
+            ["check", write_edited(tmp_path / "k.jsonl", trace_events, "graph_built",
+                                   lambda ev: ev.update(k_digests=5))],
+            "graph_built k_digests: 5 is not [str, ...]"),
+        "check-entry-not-a-triple": (
+            ["check", write_edited(tmp_path / "entry.jsonl", trace_events, "vertex_created",
+                                   lambda ev: ev.update(entries=[["d", "x"]]))],
+            "vertex_created entries: ['d', 'x'] is not [str, str, int]"),
         "profile-not-a-trace": (["profile", str(doc)], f"{doc}:1: not a trace event"),
     }[case]
     with pytest.raises(SystemExit) as exit_:

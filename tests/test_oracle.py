@@ -1,6 +1,7 @@
 import ast
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -18,8 +19,11 @@ from batchfair.adversaries import (
     uniform_load,
 )
 from batchfair.dagsim import Simulator
+from batchfair.harness import _verdicts
 from batchfair.oracle import (
     FairnessViolation,
+    _anchored,
+    _condensation,
     _precedence,
     check_batch_of,
     check_loi_monotone,
@@ -28,12 +32,17 @@ from batchfair.oracle import (
     serial_reference,
 )
 from batchfair.params import SimConfig
-from batchfair.scenarios import sweep_scenario
+from batchfair.scenarios import build_scenario, sweep_scenario
 from batchfair.trace import RunTrace
 from batchfair.types import (
     DIRECT, CommitRecord, FairUpdateVote, FinalOrder, VertexRecord, tx_digest,
 )
-from reference import reachability_scc, reference_check_batch_of
+from reference import (
+    reachability_scc,
+    reference_check_batch_of,
+    reference_serial_reference,
+)
+from test_golden import GOLDEN
 
 
 def d(name) -> str:
@@ -327,6 +336,126 @@ def test_serial_reference_equals_pipeline_with_reversers():
     assert out.orders == res.pipeline.emitted
 
 
+@pytest.fixture(scope="module")
+def crash_n13_run():
+    sc = build_scenario("crash_n13")
+    return sc.config, Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+
+
+def with_votes(records, edit):
+    """The records with each vote replaced by edit(vote), or dropped where
+    edit returns None."""
+    return [
+        replace(rec, vertices=tuple(
+            replace(vr, votes=tuple(v for v in map(edit, vr.votes) if v is not None))
+            for vr in rec.vertices
+        ))
+        for rec in records
+    ]
+
+
+def test_serial_reference_without_votes_stops_at_the_first_parked_subdag(crash_n13_run):
+    cfg, res = crash_n13_run
+    first = min(e["r"] for e in res.trace.events if e["ev"] == "graph_parked")
+    out = serial_reference(with_votes(res.records, lambda vote: None), cfg.n, cfg.f, cfg.gamma)
+    assert out.stopped_at == first
+    assert [o.r for o in out.orders] == list(range(1, first))
+    assert out.orders == res.pipeline.emitted[:first - 1]
+    assert not out.votes and not out.vote_mismatches
+
+
+def test_vote_lacking_a_missing_pair_is_a_mismatch_and_fails_serial_equivalence(crash_n13_run):
+    cfg, res = crash_n13_run
+    first = min(e["r"] for e in res.trace.events if e["ev"] == "graph_parked")
+    author = [v for rec in res.records for v in rec.votes() if v.target_r == first][-1].author
+
+    def drop_one_pair(vote):
+        if (vote.author, vote.target_r) != (author, first):
+            return vote
+        return replace(vote, edges=vote.edges[1:])
+
+    records = with_votes(res.records, drop_one_pair)
+    out = serial_reference(records, cfg.n, cfg.f, cfg.gamma)
+    assert out.stopped_at is None
+    assert out.vote_mismatches == [{"r": first, "author": author}]
+    verdicts, _ = _verdicts(cfg, records, res.trace, res.pipeline.emitted, res.pipeline.emitted)
+    assert verdicts["serial_equivalence"] is False
+
+
+def test_edge_listed_twice_in_a_vote_counts_twice():
+    # n=5, f=1, gamma=1: tau_i = 2 and n - f = 4 votes. Author 4 alone reports
+    # both a and b, so the pair misses an edge; the four votes split 2/2 by
+    # author, and author 0 lists b->a twice, which makes it 2/3 and puts b first
+    a, b = sorted((d("p"), d("q")))
+    reports = [[a], [b], [a], [b], [a, b]]
+    first = CommitRecord(1, "r0001a000", tuple(
+        VertexRecord(i, 1, f"r0001a{i:03d}", tuple((DIRECT, x, k) for k, x in enumerate(lst)))
+        for i, lst in enumerate(reports)
+    ))
+    ballots = [((b, a), (b, a)), ((a, b),), ((a, b),), ((b, a),)]
+    second = CommitRecord(2, "r0002a000", tuple(
+        VertexRecord(i, 2, f"r0002a{i:03d}", (), (FairUpdateVote(i, 1, edges),))
+        for i, edges in enumerate(ballots)
+    ))
+    out = serial_reference([first, second], 5, 1, 1)
+    assert out.vote_tallies == {(a, b): (2, 3)}
+    assert out.orders == [FinalOrder(1, (b, a), ((0, 1), (1, 2))), FinalOrder(2, (), ())]
+    assert out.stopped_at is None and not out.vote_mismatches
+
+
+def assert_same_outcome(got, want):
+    """Every SerialOutcome field equal, arrays in value, shape and dtype."""
+    assert got.orders == want.orders and got.stopped_at == want.stopped_at
+    assert list(got.graphed_in.items()) == list(want.graphed_in.items())
+    assert len(got.weights) == len(want.weights) and len(got.votes) == len(want.votes)
+    for (admitted, w), (admitted_want, w_want) in zip(got.weights, want.weights):
+        assert admitted == admitted_want
+        assert w.dtype == w_want.dtype and np.array_equal(w, w_want)
+    for (retained, *arrays), (retained_want, *arrays_want) in zip(got.votes, want.votes):
+        assert retained == retained_want
+        for x, y in zip(arrays, arrays_want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.vote_mismatches == want.vote_mismatches
+
+
+@pytest.mark.parametrize(
+    "name, variant",
+    [pytest.param(name, variant, id=f"{name}-{dict(variant)}") for name, variant in sorted(GOLDEN)],
+)
+def test_serial_reference_matches_reference_on_shipped_variants(name, variant):
+    sc = build_scenario(name, **dict(variant))
+    res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+    args = (res.records, sc.config.n, sc.config.f, sc.config.gamma)
+    assert_same_outcome(serial_reference(*args), reference_serial_reference(*args))
+
+
+@pytest.mark.parametrize(
+    "n, f, gamma", [(5, 1, 1), (9, 2, 1), (13, 3, 1), (5, 0, "0.8"), (9, 1, "0.8"), (13, 1, "0.8")]
+)
+def test_serial_reference_matches_reference_on_sweep_seeds(n, f, gamma):
+    for seed in (1, 2, 3):
+        sc = sweep_scenario(n, f, gamma, seed=seed)
+        res = Simulator(sc.config, sc.faults, sc.clients, sc.spikes).run()
+        args = (res.records, n, f, sc.config.gamma)
+        assert_same_outcome(serial_reference(*args), reference_serial_reference(*args))
+
+
+def test_serial_reference_matches_reference_on_random_streams():
+    # random pending lists and votes: subdags that stop, votes that miss
+    # pairs, repeated edges
+    rng = random.Random(28)
+    names = [d(f"s{i}") for i in range(9)]
+    stopped = mismatched = 0
+    for n, f, gamma in [(5, 1, 1), (7, 1, Fraction(4, 5)), (4, 1, 1)]:
+        for _ in range(20):
+            records = random_records(rng, n, rng.randint(1, 5), names, drop_p=0.3)
+            out = serial_reference(records, n, f, gamma)
+            assert_same_outcome(out, reference_serial_reference(records, n, f, gamma))
+            stopped += out.stopped_at is not None
+            mismatched += bool(out.vote_mismatches)
+    assert stopped and mismatched
+
+
 def test_gamma_lt_1_cross_graph_corner_documented():
     """At gamma < 1, cross-round skew can graph a gamma*n-supported pair across
     two subdags: the one replica that received v first reports it in a prefix
@@ -452,6 +581,7 @@ def test_directional_safety_under_reversing_adversary():
 def test_reachability_scc_matches_networkx_condensation():
     nx = pytest.importorskip("networkx")
     rng = random.Random(24)
+    cases = []
     for trial in range(40):
         size = rng.randint(1, 40)
         # even trials are tournaments; odd ones leave pairs without an edge
@@ -461,6 +591,15 @@ def test_reachability_scc_matches_networkx_condensation():
         for u, v in combinations(nodes, 2):
             if rng.random() >= p_missing:
                 edges.add((u, v) if rng.random() < 0.5 else (v, u))
+        cases.append((nodes, edges))
+    # m = 0 and m = 1; then a path and a single cycle through 200 nodes in
+    # shuffled order, whose diameter near m takes ceil(log2 m) squarings
+    chain = [d(f"c{i}") for i in range(200)]
+    rng.shuffle(chain)
+    path = set(zip(chain, chain[1:]))
+    cycle = path | {(chain[-1], chain[0])}
+    cases += [([], set()), ([d("solo")], set()), (chain, path), (chain, cycle)]
+    for nodes, edges in cases:
         g = nx.DiGraph()
         g.add_nodes_from(nodes)
         g.add_edges_from(edges)
@@ -471,6 +610,29 @@ def test_reachability_scc_matches_networkx_condensation():
             for c in nx.lexicographical_topological_sort(cond, key=lambda c: members[c][0])
         ]
         assert reachability_scc(nodes, edges) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 30),
+    st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_anchored_prefix_is_the_kept_subgraphs_condensation(m, density, solid_share, seed):
+    # what lets serial_reference skip the second condensation of a subdag
+    # whose votes add no edge
+    rng = np.random.default_rng(seed)
+    adj = rng.random((m, m)) < density
+    np.fill_diagonal(adj, False)
+    solid = rng.random(m) < solid_share
+    sccs = _anchored(_condensation(adj), solid)
+    keep = np.sort(np.concatenate(sccs)) if sccs else np.empty(0, np.intp)
+    kept = [keep[scc] for scc in _condensation(adj[np.ix_(keep, keep)])]
+    assert [scc.tolist() for scc in kept] == [scc.tolist() for scc in sccs]
+    # the prefix ends at the last SCC holding a solid node
+    assert not solid[np.setdiff1d(np.arange(m), keep)].any()
+    assert not sccs or solid[sccs[-1]].any()
 
 
 # -- pair evidence against a brute-force pair count ------------------------------------------
@@ -544,10 +706,11 @@ def assert_evidence_matches_brute_force(records, n, f, gamma):
     return outcome
 
 
-def random_records(rng, n, subdags, names):
+def random_records(rng, n, subdags, names, drop_p=0.0):
     """Each author reports a random subset of names in random order per
     subdag, and votes on the previous subdag with every pair of names in a
-    random direction, sometimes repeating an edge."""
+    random direction, sometimes repeating an edge and, with probability
+    drop_p, leaving one out."""
     records = []
     for r in range(1, subdags + 1):
         vertices = []
@@ -556,6 +719,8 @@ def random_records(rng, n, subdags, names):
             edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in combinations(names, 2)]
             if edges and rng.random() < 0.3:
                 edges.append(rng.choice(edges))
+            if edges and drop_p and rng.random() < drop_p:
+                edges.pop(rng.randrange(len(edges)))
             votes = (FairUpdateVote(author, r - 1, tuple(edges)),) if r > 1 else ()
             vertices.append(VertexRecord(
                 author, r, f"r{r:04d}a{author:03d}",
